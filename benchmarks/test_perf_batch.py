@@ -111,18 +111,10 @@ def _bench_policy(policy, batch_pieces, benchmark):
         for name in PHASE_TIMERS
         if name in snapshot.timers
     }
-    benchmark.extra_info["segment_cache_hits"] = snapshot.counters.get(
-        "sim.segment_cache_hits", 0
-    )
     benchmark.extra_info["decision_batched_lanes"] = snapshot.counters.get(
         "sim.decision_batched_lanes", 0
     )
-    for counter in (
-        "walk_unique",
-        "walk_dedup_hits",
-        "walk_delta_hits",
-        "walk_bracket_reuse",
-    ):
+    for counter in ("walk_unique", "walk_bracket_reuse"):
         benchmark.extra_info[counter] = snapshot.counters.get(
             f"aging.{counter}", 0
         )

@@ -375,8 +375,8 @@ class AgingTable:
         (:meth:`_corner_weights`) and corner row/offset indices
         (:meth:`_corner_rows`) so a caller that also performs the
         forward read computes them once.  ``bounds`` may carry the
-        (lo_b, hi_b, floor) triple of :meth:`_count_bounds` computed by
-        the walk engine's per-group dedup; ``grid_index``, when given
+        (lo_b, hi_b, floor) triple of :meth:`_count_bounds` computed
+        once per group by the walk engine; ``grid_index``, when given
         an ``intp`` batch-shaped array, is filled with the age-grid
         index each returned age lands on exactly (``n_y`` for the
         zero-age clamp, ``-1`` when the age is a genuine interpolant) —

@@ -1,37 +1,20 @@
-"""Delta-aware, deduplicating aging-table walk engine.
+"""Aging-table walk engine: the Algorithm 1 aging estimate.
 
-BENCH_PR7.json put ~68% of the batched decision phase inside the aging
-table walk itself (:meth:`repro.aging.tables.AgingTable.next_health`),
-making the walk the campaign-wide floor.  This module exploits the
-massive *input redundancy* of Algorithm 1's candidate batches: within
-one lockstep round, candidate rows differ from their lane's base
-placement in a single duty/health column plus a thermally-perturbed
-temperature vector, and across rounds/epochs dark cores (duty exactly 0)
-and unchanged placements repeat bit for bit.  Three cooperating layers:
+Every candidate mapping Hayat scores (Algorithm 1) is aged by walking
+the precomputed aging table: invert the current health to an
+equivalent age at the candidate's (temperature, duty) cell, advance it
+by one epoch, and read the new health back.  :class:`WalkEngine` does
+that walk in the same IEEE op order as the reference
+:meth:`repro.aging.tables.AgingTable.next_health`, so its results are
+bit-identical, with three accelerations that change no bits:
 
-1. **Bit-exact dedup** (:meth:`WalkEngine._walk_deduped`): pack each
-   element's (T, d, h) float64 *bit patterns* into an integer key,
-   ``np.unique`` the flattened batch, walk once per unique element and
-   scatter back.  The walk is a pure per-element function — every
-   kernel on the path (axis location, corner weighting, count-table
-   bounds, blend samples, the forward trilinear read) computes element
-   ``i``'s output from element ``i``'s inputs alone, and
-   ``repro.aging.tables._sum_corners`` guards the one place NumPy's
-   reduction order could depend on batch size — so walking the unique
-   representatives is provably bit-identical to walking every element.
+1. **Shared count bounds** (:meth:`WalkEngine._shared_bounds`): the
+   inverse lookup's bracket bounds depend only on the corner cell, the
+   corner-weight positivity pattern and the health bits, so on large
+   batches with heavily repeated healths they are computed once per
+   group and gathered.
 
-2. **Delta-aware memo** (:class:`_DeltaMemo`): round-over-round reuse.
-   Results of prior walks are memoized under the exact (T, d, h) bit
-   triple (per epoch length); a later batch probes the memo by hash and
-   *verifies the full bit triple* before accepting, so a hit returns
-   the identical float64 the walk would recompute — hash collisions can
-   cause a miss, never a wrong answer.  Because real campaign batches
-   only repeat when placements genuinely repeat (dark cores, unchanged
-   lanes), the memo self-gates: it stays active while its observed
-   reuse (an EMA over dedup + memo hits) pays for the probes and
-   clears itself when the workload offers no redundancy.
-
-3. **Fused next-health shift** (:meth:`WalkEngine._located_shift`): the
+2. **Fused next-health shift** (:meth:`WalkEngine._located_shift`): the
    inverse walk reports, per element, the age-grid index its
    equivalent age landed on *exactly* (the common case: ~85% of
    campaign inverses resolve to grid points — pristine cores at age 0
@@ -42,32 +25,22 @@ and unchanged placements repeat bit for bit.  Three cooperating layers:
    sum* whether computed per element or once per grid point, so the
    gathered (index, fraction) pairs are bit-identical.
 
-An **opt-in approximate mode** (``SimulationConfig.approx_table_walk``,
-off by default) snaps temperatures to a tolerance before keying *and*
-walking, trading a bounded health error for dedup/memo hit rates that
-no longer require bit-equal temperatures.  The error is bounded by
-``max|∂health/∂T| * tol/2`` along the walked table — the table's
-largest temperature-direction slope times the worst-case snap distance
-— and the bound is asserted empirically in ``tests/test_aging_walk.py``.
-The default mode never approximates anything.
+3. **Bracket warm-start** (:meth:`WalkEngine._walk_seeded`): the
+   delta-candidate engine passes each lane's base-row crossing counts
+   (:func:`walk_crossing_counts`) as guesses for its perturbed
+   candidate rows; every seed is verified per element and relocated
+   when stale (:meth:`AgingTable._ages_seeded`).
 
-Escape hatches: ``SimulationConfig.walk_dedup`` / CLI
-``--no-walk-dedup`` route straight back to
-:meth:`AgingTable.next_health` (and ``--approx-table-walk`` is ignored
-there, since snapping lives in the engine).
+Non-monotone (synthetic) tables have no bracket structure to exploit
+and fall back to :meth:`AgingTable.next_health` itself.
 
-Observability: the engine times itself under ``aging.walk`` and counts
-``aging.walk_unique`` (unique elements after intra-batch dedup — the
-load submitted to the memo/walk layers), ``aging.walk_dedup_hits``
-(elements answered by an intra-batch duplicate) and
-``aging.walk_delta_hits`` (of the unique elements, those answered by
-the cross-call memo instead of a fresh walk).
+Observability: the engine times itself under ``aging.walk``, counts
+every walked element as ``aging.walk_unique`` (the name predates the
+removal of intra-batch deduplication and is kept for the readers of
+that counter) and verified seeds as ``aging.walk_bracket_reuse``.
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,263 +48,46 @@ from repro.aging.tables import AgingTable, _axis_weights
 from repro.obs import get_registry
 
 __all__ = [
-    "WalkOptions",
     "WalkEngine",
-    "configure_walk_engine",
-    "current_walk_options",
     "get_walk_engine",
     "walk_crossing_counts",
     "walk_next_health",
-    "walk_options",
 ]
-
-
-_UNSET = object()
-
-#: Calls during which the delta memo stays active unconditionally,
-#: gathering evidence of reuse before the EMA gate takes over.
-_WARMUP_CALLS = 8
-
-#: Reuse EMA below which the memo deactivates (and clears): probes cost
-#: a couple of searchsorted passes per call, so a few percent of hits
-#: pays for them.
-_REUSE_FLOOR = 0.02
-
-#: EMA smoothing for the observed reuse fraction.
-_EMA_KEEP = 0.8
-
-#: Dedup scatter is applied only when at least this fraction of the
-#: batch is duplicated — below it, the gather/scatter costs more than
-#: the walks it saves.
-_MIN_DUP_SHIFT = 3  # duplicates >= n >> 3, i.e. 12.5%
-
-#: Batches below this many elements skip the dedup/memo probe layers
-#: entirely: the sort probe and memo hashing cost a fixed few
-#: microseconds that a tiny batch's walk cannot amortize (BENCH_PR8
-#: measured the layers at ~10% on the per-chip path, whose batches
-#: are mostly one chip's core count).  Bit-identity is unaffected —
-#: the probes only ever route work, never change results.
-_PROBE_FLOOR = 128
-
-#: After the reuse-EMA gate has deactivated the memo, only every
-#: ``_PROBE_HOLDOFF + 1``-th call pays the dedup sort probe; the probe
-#: that does run still observes the duplicate fraction, so a workload
-#: that turns redundant (e.g. approx mode switching on) re-raises the
-#: EMA and reactivates the layers within a probing call.
-_PROBE_HOLDOFF = 15
-
-
-@dataclass(frozen=True)
-class WalkOptions:
-    """Process/context-scoped walk-engine options.
-
-    ``dedup=False`` bypasses the engine entirely (the escape hatch);
-    ``approx_tol`` enables the approximate mode with that snap
-    tolerance in kelvin (``None`` = exact, the default).
-    """
-
-    dedup: bool = True
-    approx_tol: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.approx_tol is not None and not self.approx_tol > 0:
-            raise ValueError("approx_tol must be positive (or None)")
-
-
-_process_options = WalkOptions()
-_override_stack: list[WalkOptions] = []
-
-
-def configure_walk_engine(*, dedup=None, approx_tol=_UNSET) -> WalkOptions:
-    """Set process-level walk options (the CLI's ``--no-walk-dedup``).
-
-    ``None``/unset arguments keep the current setting.  Returns the new
-    process-level options.  Context overrides from :func:`walk_options`
-    still take precedence.
-    """
-    global _process_options
-    base = _process_options
-    _process_options = WalkOptions(
-        dedup=base.dedup if dedup is None else bool(dedup),
-        approx_tol=base.approx_tol if approx_tol is _UNSET else approx_tol,
-    )
-    return _process_options
-
-
-def current_walk_options() -> WalkOptions:
-    """The options in effect: innermost :func:`walk_options` context, or
-    the process-level defaults."""
-    return _override_stack[-1] if _override_stack else _process_options
-
-
-@contextmanager
-def walk_options(dedup=None, approx_tol=_UNSET):
-    """Scoped walk options; ``None``/unset arguments inherit.
-
-    The simulators wrap each run in this so
-    ``SimulationConfig.walk_dedup`` / ``approx_table_walk`` govern every
-    table walk the run performs, nested runs included.
-    """
-    base = current_walk_options()
-    merged = WalkOptions(
-        dedup=base.dedup if dedup is None else bool(dedup),
-        approx_tol=base.approx_tol if approx_tol is _UNSET else approx_tol,
-    )
-    _override_stack.append(merged)
-    try:
-        yield merged
-    finally:
-        _override_stack.pop()
-
-
-def _mix_keys(t_bits, d_bits, h_bits) -> np.ndarray:
-    """64-bit hash of the (T, d, h) bit triple (vectorized).
-
-    A multiply/rotate/xor mix in the spirit of splitmix64: each input
-    word is folded in with a distinct odd multiplier and the running
-    state is rotated between folds so nearby bit patterns (consecutive
-    health floats, snapped temperatures) spread across the hash space.
-    Collisions are tolerated — the memo verifies the full triple before
-    trusting a hit — so the hash only has to be *good*, not perfect.
-    """
-    k = t_bits * np.uint64(0x9E3779B97F4A7C15)
-    k ^= (k >> np.uint64(23)) | (k << np.uint64(41))
-    k += d_bits * np.uint64(0xC2B2AE3D27D4EB4F)
-    k ^= (k >> np.uint64(47)) | (k << np.uint64(17))
-    k += h_bits * np.uint64(0x165667B19E3779F9)
-    return k
-
-
-class _DeltaMemo:
-    """Exact-match memo of prior walks, stored as sorted hash blocks.
-
-    Each :meth:`insert` appends one block — the batch's hashes sorted,
-    alongside the raw (T, d, h) bit triples and results.  Lookups probe
-    every block with one ``searchsorted`` each and accept a hit only
-    when the *stored triple's bits equal the query's bits*, so a hit
-    returns exactly the float64 the walk produced for those inputs —
-    the delta path can go wrong only by missing, never by answering.
-    Blocks consolidate (merge-sort, first-seen wins per hash) once
-    enough accumulate, and the oldest entries are evicted beyond a size
-    cap — an LSM tree in miniature, sized for tens of lockstep rounds.
-    """
-
-    __slots__ = ("blocks", "size")
-
-    MAX_BLOCKS = 8
-    MAX_ENTRIES = 1 << 18
-
-    def __init__(self) -> None:
-        self.blocks: list[tuple] = []  # (sorted_hash, t, d, h, result)
-        self.size = 0
-
-    def lookup(self, t_bits, d_bits, h_bits, out) -> np.ndarray:
-        """Fill ``out`` where memoized; returns the hit mask."""
-        found = np.zeros(t_bits.shape[0], dtype=bool)
-        if not self.blocks:
-            return found
-        hashes = _mix_keys(t_bits, d_bits, h_bits)
-        for hs, bt, bd, bh, bres in self.blocks:
-            pending = np.flatnonzero(~found)
-            if pending.size == 0:
-                break
-            hp = hashes[pending]
-            pos = np.searchsorted(hs, hp)
-            inb = pos < hs.size
-            cand = pending[inb]
-            p = pos[inb]
-            ok = (
-                (hs[p] == hp[inb])
-                & (bt[p] == t_bits[cand])
-                & (bd[p] == d_bits[cand])
-                & (bh[p] == h_bits[cand])
-            )
-            hit = cand[ok]
-            if hit.size:
-                out[hit] = bres[p[ok]]
-                found[hit] = True
-        return found
-
-    def insert(self, t_bits, d_bits, h_bits, results) -> None:
-        if t_bits.size == 0:
-            return
-        hashes = _mix_keys(t_bits, d_bits, h_bits)
-        order = np.argsort(hashes, kind="stable")
-        hs = hashes[order]
-        keep = np.ones(hs.size, dtype=bool)
-        # Same-hash entries within one batch: keep the first.  Equal
-        # triples memoize the same value either way; a colliding
-        # distinct triple merely keeps missing.
-        keep[1:] = hs[1:] != hs[:-1]
-        kept = order[keep]
-        self.blocks.append(
-            (hs[keep], t_bits[kept], d_bits[kept], h_bits[kept], results[kept])
-        )
-        self.size += int(kept.size)
-        if len(self.blocks) > self.MAX_BLOCKS:
-            self._consolidate()
-        while self.size > self.MAX_ENTRIES and len(self.blocks) > 1:
-            dropped = self.blocks.pop(0)
-            self.size -= int(dropped[0].size)
-
-    def _consolidate(self) -> None:
-        hs = np.concatenate([b[0] for b in self.blocks])
-        cols = [np.concatenate([b[i] for b in self.blocks]) for i in (1, 2, 3, 4)]
-        order = np.argsort(hs, kind="stable")  # oldest block first per hash
-        hs = hs[order]
-        keep = np.ones(hs.size, dtype=bool)
-        keep[1:] = hs[1:] != hs[:-1]
-        kept = order[keep]
-        self.blocks = [(hs[keep],) + tuple(c[kept] for c in cols)]
-        self.size = int(kept.size)
 
 
 class WalkEngine:
     """Per-table walk engine; results bit-identical to
-    :meth:`AgingTable.next_health` in the default (exact) mode.
+    :meth:`AgingTable.next_health`.
 
     Obtained via :func:`get_walk_engine`, which caches one engine on
     the table object (tables are process-lived and shared across
-    epochs/chips, so the memo sees every round).  The engine is a pure
-    cache: :meth:`AgingTable.__getstate__` drops it from pickles, so
-    campaign workers rebuild an empty one lazily.
+    epochs/chips).  The engine holds only derived state:
+    :meth:`AgingTable.__getstate__` drops it from pickles, so campaign
+    workers rebuild one lazily.
     """
 
     def __init__(self, table: AgingTable) -> None:
         # Only store the reference here — this may run while the table
         # itself is mid-unpickle (see AgingTable.__getstate__).
         self.table = table
-        self._memos: dict[str, _DeltaMemo] = {}
         self._shift_cache: dict[str, tuple] = {}
-        self._calls = 0
-        self._reuse_ema = 0.0
-        self._probe_holdoff = 0
-        self._last_delta_hits = 0
 
     # ------------------------------------------------------------------
     # public entry
     # ------------------------------------------------------------------
     def next_health(
-        self, temp_k, duty, current_health, epoch_years, approx_tol=None,
-        seed_counts=None,
+        self, temp_k, duty, current_health, epoch_years, seed_counts=None
     ) -> np.ndarray:
         """Engine-routed :meth:`AgingTable.next_health`.
 
         Mirrors the table method's broadcasting and validation exactly;
-        in exact mode (``approx_tol is None``) the returned array is
-        bit-identical to the table's.  With ``approx_tol`` set,
-        temperatures are snapped to the tolerance grid *before both
-        keying and walking*, so the memoized value and the walked value
-        of a snapped input always agree; the health error is bounded by
-        the table's worst temperature slope times ``tol/2``.
+        the returned array is bit-identical to the table's.
 
         ``seed_counts`` (same shape as the batch) warm-starts the
         inverse lookup with guessed age-bracket crossing counts — the
         delta-candidate engine passes each lane's base-row counts
         (:meth:`crossing_counts`).  Seeds are verified per element and
-        change no bits (see :meth:`AgingTable._ages_seeded`); seeded
-        batches skip the dedup/memo probes, whose bit-exact keying
-        cannot fire on the perturbed temperatures the seeds exist for.
+        change no bits (see :meth:`AgingTable._ages_seeded`).
         """
         if epoch_years < 0:
             raise ValueError("epoch_years must be non-negative")
@@ -350,13 +106,7 @@ class WalkEngine:
             return np.empty(shape)
         obs = get_registry()
         with obs.timer("aging.walk"):
-            if approx_tol is not None:
-                if not approx_tol > 0:
-                    raise ValueError("approx_table_walk tolerance must be positive")
-                # Snap to the tolerance grid: at most tol/2 away from
-                # the true temperature, and every element within the
-                # same tol bucket now shares identical bits.
-                t = np.round(t / approx_tol) * approx_tol
+            obs.inc("aging.walk_unique", t.shape[0])
             if seed_counts is not None and self.table._age_monotone:
                 seeds = np.asarray(seed_counts, dtype=np.intp)
                 if seeds.size != t.size:
@@ -367,7 +117,7 @@ class WalkEngine:
                     t, d, h, epoch_years, seeds.reshape(-1), obs
                 )
             else:
-                out = self._walk_deduped(t, d, h, epoch_years, obs)
+                out = self._walk_core(t, d, h, epoch_years)
         return out.reshape(shape)
 
     def crossing_counts(self, temp_k, duty, current_health):
@@ -414,7 +164,6 @@ class WalkEngine:
         """
         table = self.table
         n = t.shape[0]
-        obs.inc("aging.walk_unique", n)
         it, ft = _axis_weights(table.temp_grid_k, t, table._temp_spans)
         idx_d, fd = _axis_weights(table.duty_grid, d, table._duty_spans)
         weights = table._corner_weights(ft, fd)
@@ -432,129 +181,6 @@ class WalkEngine:
         )
         return np.minimum(new_health, h)
 
-    # ------------------------------------------------------------------
-    # layer 1: bit-exact intra-batch dedup
-    # ------------------------------------------------------------------
-    def _walk_deduped(self, t, d, h, epoch_years, obs) -> np.ndarray:
-        """Unique the (T, d, h) bit triples; walk representatives only.
-
-        Keys are built by factorizing each component's bit patterns to
-        small ids and combining arithmetically — one u64 unique per
-        component plus one combined int64 unique, an order of magnitude
-        cheaper than a structured-dtype unique over the raw triples.
-        First-occurrence representatives make the scatter provably
-        bit-identical: the walk is elementwise-pure (see module doc),
-        so element ``i`` and its representative compute the same IEEE
-        sequence from the same input bits.
-        """
-        n = t.shape[0]
-        # Probe bypass: tiny batches can't amortize the sort/hash probes
-        # (fixed microseconds vs a short walk), and once the reuse EMA
-        # has self-deactivated the memo, most calls skip the probe too —
-        # every ``_PROBE_HOLDOFF + 1``-th call still probes so a
-        # workload that turns redundant is noticed and reactivates the
-        # layers.  Bypassed calls walk everything; results identical.
-        if n < _PROBE_FLOOR:
-            obs.inc("aging.walk_unique", n)
-            return self._walk_core(t, d, h, epoch_years)
-        if self._probe_holdoff > 0:
-            self._probe_holdoff -= 1
-            obs.inc("aging.walk_unique", n)
-            return self._walk_core(t, d, h, epoch_years)
-        t_bits = t.view(np.uint64)
-        d_bits = d.view(np.uint64)
-        h_bits = h.view(np.uint64)
-        # Cheap dup probe first: a plain sort + adjacent compare.  The
-        # common campaign batch has all-distinct temperatures (the
-        # dense thermal influence matmul perturbs every element), and
-        # paying ``return_inverse``'s extra permutation scatter there
-        # just to discard it was the probe's dominant cost.
-        st = np.sort(t_bits)
-        if n > 1 and (st[1:] == st[:-1]).any():
-            ut, t_ids = np.unique(t_bits, return_inverse=True)
-            ud, d_ids = np.unique(d_bits, return_inverse=True)
-            uh, h_ids = np.unique(h_bits, return_inverse=True)
-            key = (t_ids.astype(np.int64) * ud.size + d_ids) * uh.size + h_ids
-            ukey, first, inv = np.unique(
-                key, return_index=True, return_inverse=True
-            )
-            u = ukey.size
-            if n - u >= n >> _MIN_DUP_SHIFT:
-                obs.inc("aging.walk_unique", u)
-                obs.inc("aging.walk_dedup_hits", n - u)
-                out_w = self._walk_memoized(
-                    t_bits[first], d_bits[first], h_bits[first],
-                    t[first], d[first], h[first], epoch_years, obs,
-                )
-                self._note_reuse((n - u + self._last_delta_hits) / n)
-                return out_w[inv]
-        obs.inc("aging.walk_unique", n)
-        out = self._walk_memoized(
-            t_bits, d_bits, h_bits, t, d, h, epoch_years, obs
-        )
-        self._note_reuse(self._last_delta_hits / n)
-        return out
-
-    def _note_reuse(self, fraction: float) -> None:
-        self._calls += 1
-        self._reuse_ema = (
-            _EMA_KEEP * self._reuse_ema + (1.0 - _EMA_KEEP) * fraction
-        )
-        if self._calls >= _WARMUP_CALLS and self._reuse_ema <= _REUSE_FLOOR:
-            # Memo gate is off: hold the probes off for a stretch too.
-            self._probe_holdoff = _PROBE_HOLDOFF
-
-    # ------------------------------------------------------------------
-    # layer 2: delta-aware cross-call memo
-    # ------------------------------------------------------------------
-    def _walk_memoized(
-        self, t_bits, d_bits, h_bits, t, d, h, epoch_years, obs
-    ) -> np.ndarray:
-        """Answer bit-exact repeats from the memo; walk only the misses.
-
-        Self-gating: active during a short warmup and for as long as the
-        observed reuse EMA (intra-batch duplicates + memo hits) clears
-        ``_REUSE_FLOOR``.  Campaign batches whose temperatures are all
-        bit-distinct (the dense thermal influence matmul perturbs every
-        element) deactivate the memo after warmup and pay nothing; a
-        redundant workload — repeated placements, approx mode —
-        re-activates it through the duplicate fraction the dedup layer
-        keeps reporting.
-        """
-        self._last_delta_hits = 0
-        active = self._calls < _WARMUP_CALLS or self._reuse_ema > _REUSE_FLOOR
-        if not active:
-            if self._memos:
-                self._memos.clear()
-            return self._walk_core(t, d, h, epoch_years)
-        key = float(epoch_years).hex()
-        memo = self._memos.get(key)
-        if memo is None:
-            if len(self._memos) >= 8:
-                self._memos.clear()
-            memo = self._memos[key] = _DeltaMemo()
-        out = np.empty(t.shape[0])
-        found = memo.lookup(t_bits, d_bits, h_bits, out)
-        hits = int(np.count_nonzero(found))
-        if hits:
-            obs.inc("aging.walk_delta_hits", hits)
-            self._last_delta_hits = hits
-        if hits == t.shape[0]:
-            return out
-        if hits:
-            miss = np.flatnonzero(~found)
-            res = self._walk_core(t[miss], d[miss], h[miss], epoch_years)
-            out[miss] = res
-            memo.insert(t_bits[miss], d_bits[miss], h_bits[miss], res)
-        else:
-            res = self._walk_core(t, d, h, epoch_years)
-            out[:] = res
-            memo.insert(t_bits, d_bits, h_bits, res)
-        return out
-
-    # ------------------------------------------------------------------
-    # layer 3: the walk itself, with shared bounds + fused age shift
-    # ------------------------------------------------------------------
     def _walk_core(self, t, d, h, epoch_years) -> np.ndarray:
         """One inverse+forward walk over flat arrays.
 
@@ -692,33 +318,22 @@ def walk_next_health(
 ) -> np.ndarray:
     """:meth:`AgingTable.next_health` routed through the walk engine.
 
-    The single entry point the estimation layers call: honors the
-    current :class:`WalkOptions` — ``dedup=False`` (the
-    ``--no-walk-dedup`` escape hatch) goes straight to the table method,
-    bypassing the engine (including any approximate mode, which lives in
-    the engine's keying); otherwise the engine walks with the options'
-    tolerance.  ``seed_counts`` (from :func:`walk_crossing_counts`)
-    warm-starts the inverse lookup; it is verified per element, changes
-    no bits, and is ignored when the engine is bypassed.
+    The single entry point the estimation layers call.  ``seed_counts``
+    (from :func:`walk_crossing_counts`) warm-starts the inverse lookup;
+    it is verified per element and changes no bits.
     """
-    opts = current_walk_options()
-    if not opts.dedup:
-        return table.next_health(temp_k, duty, current_health, epoch_years)
     return get_walk_engine(table).next_health(
-        temp_k, duty, current_health, epoch_years, approx_tol=opts.approx_tol,
-        seed_counts=seed_counts,
+        temp_k, duty, current_health, epoch_years, seed_counts=seed_counts
     )
 
 
 def walk_crossing_counts(table, temp_k, duty, current_health):
     """Base-row age-bracket crossing counts for seeding later walks.
 
-    Returns ``None`` when the engine is bypassed (``dedup=False``) or
-    the table is non-monotone — callers simply skip seeding then.  The
-    counts are exact for these inputs; a candidate whose temperature
-    perturbation moves its bracket is detected and relocated during the
-    seeded walk, so stale counts cost a fallback, never a wrong answer.
+    Returns ``None`` when the table is non-monotone — callers simply
+    skip seeding then.  The counts are exact for these inputs; a
+    candidate whose temperature perturbation moves its bracket is
+    detected and relocated during the seeded walk, so stale counts cost
+    a fallback, never a wrong answer.
     """
-    if not current_walk_options().dedup:
-        return None
     return get_walk_engine(table).crossing_counts(temp_k, duty, current_health)

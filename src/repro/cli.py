@@ -57,6 +57,9 @@ def _add_observability_flags(parser: argparse.ArgumentParser) -> None:
         metavar="PATH",
         help="write a JSONL trace (spans, counters, timers) to PATH",
     )
+
+
+def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--no-thermal-cache",
         action="store_true",
@@ -80,36 +83,6 @@ def _add_observability_flags(parser: argparse.ArgumentParser) -> None:
             "run epoch decisions chip by chip instead of through the "
             "cross-lane batched mapper (results are bit-identical either "
             "way; only affects batched runs)"
-        ),
-    )
-    parser.add_argument(
-        "--no-segment-cache",
-        action="store_true",
-        help=(
-            "recompile every fused-window segment instead of reusing the "
-            "content-keyed compiled-segment cache (results are "
-            "bit-identical either way)"
-        ),
-    )
-    parser.add_argument(
-        "--no-walk-dedup",
-        action="store_true",
-        help=(
-            "call the aging table directly instead of through the "
-            "deduplicating, delta-aware walk engine (results are "
-            "bit-identical either way)"
-        ),
-    )
-    parser.add_argument(
-        "--approx-table-walk",
-        type=float,
-        metavar="TOL_K",
-        default=None,
-        help=(
-            "opt-in approximate table walks: snap predicted temperatures "
-            "to TOL_K kelvin before walking the aging table, raising walk "
-            "dedup/memo hit rates at a bounded health error (default: "
-            "exact walks)"
         ),
     )
     parser.add_argument(
@@ -250,6 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--json", help="export the full result to this JSON file")
     simulate.add_argument("--csv", help="export the per-epoch summary to this CSV file")
     _add_observability_flags(simulate)
+    _add_engine_flags(simulate)
 
     campaign = sub.add_parser("campaign", help="VAA vs Hayat over a population")
     campaign.add_argument("--chips", type=int, default=5)
@@ -266,6 +240,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_supervision_flags(campaign)
     _add_batch_flags(campaign)
     _add_observability_flags(campaign)
+    _add_engine_flags(campaign)
 
     scenario = sub.add_parser(
         "run-scenario", help="run a JSON scenario document"
@@ -290,6 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_supervision_flags(sweep)
     _add_batch_flags(sweep)
     _add_observability_flags(sweep)
+    _add_engine_flags(sweep)
 
     serve = sub.add_parser(
         "serve", help="fleet campaign daemon over a spool directory"
@@ -390,9 +366,6 @@ def _cmd_simulate(args) -> int:
         lifetime_years=args.years, dark_fraction_min=args.dark, window_s=10.0,
         seed=args.seed, fused_window=not args.no_fused_window,
         batch_decision=not args.no_batch_decision,
-        segment_cache=not args.no_segment_cache,
-        walk_dedup=not args.no_walk_dedup,
-        approx_table_walk=args.approx_table_walk,
         delta_candidates=not args.no_delta_candidates,
     )
     policy = POLICIES[args.policy]()
@@ -433,9 +406,6 @@ def _cmd_campaign(args) -> int:
         lifetime_years=args.years, dark_fraction_min=args.dark, window_s=10.0,
         seed=args.seed, fused_window=not args.no_fused_window,
         batch_decision=not args.no_batch_decision,
-        segment_cache=not args.no_segment_cache,
-        walk_dedup=not args.no_walk_dedup,
-        approx_table_walk=args.approx_table_walk,
         delta_candidates=not args.no_delta_candidates,
     )
     print(
@@ -523,9 +493,6 @@ def _cmd_sweep(args) -> int:
         lifetime_years=args.years, window_s=10.0, seed=args.seed,
         fused_window=not args.no_fused_window,
         batch_decision=not args.no_batch_decision,
-        segment_cache=not args.no_segment_cache,
-        walk_dedup=not args.no_walk_dedup,
-        approx_table_walk=args.approx_table_walk,
         delta_candidates=not args.no_delta_candidates,
     )
     print(
@@ -637,14 +604,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     if getattr(args, "no_thermal_cache", False):
         configure_thermal_cache(enabled=False)
-    if getattr(args, "no_segment_cache", False):
-        from repro.sim.window import configure_segment_cache
-
-        configure_segment_cache(enabled=False)
-    if getattr(args, "no_walk_dedup", False):
-        from repro.aging.walk import configure_walk_engine
-
-        configure_walk_engine(dedup=False)
     if getattr(args, "no_delta_candidates", False):
         from repro.core.delta_eval import configure_delta_eval
 

@@ -48,7 +48,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.aging.health import advance_batch
-from repro.aging.walk import walk_options
 from repro.core.delta_eval import delta_options
 from repro.dtm.policy import DTMPolicy
 from repro.noc.metrics import evaluate_mapping
@@ -201,9 +200,7 @@ class BatchLifetimeSimulator:
             lanes.append(lane)
         obs.inc("sim.batched_chips", len(lanes))
 
-        with walk_options(
-            dedup=cfg.walk_dedup, approx_tol=cfg.approx_table_walk
-        ), delta_options(enabled=cfg.delta_candidates):
+        with delta_options(enabled=cfg.delta_candidates):
             for epoch in range(cfg.num_epochs):
                 with obs.timer(
                     "sim.batch_epoch",
@@ -447,8 +444,7 @@ class BatchLifetimeSimulator:
                 if lane.fused and lane.segment is None:
                     seg_end = min(steps, step + SEGMENT_CHUNK_STEPS)
                     segment = compile_segment(
-                        lane.state, lane.ctx.power_model, times, step, seg_end, dt,
-                        use_cache=cfg.segment_cache,
+                        lane.state, lane.ctx.power_model, times, step, seg_end, dt
                     )
                     if segment is None:
                         lane.fused = False  # step-by-step for the rest

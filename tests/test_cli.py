@@ -134,3 +134,15 @@ class TestParser:
     def test_unknown_policy_rejected(self):
         with pytest.raises(SystemExit):
             main(["simulate", "--policy", "magic"])
+
+    def test_removed_engine_flag_rejected(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign", "--no-walk-dedup"])
+        assert exc.value.code == 2
+
+    def test_serve_rejects_engine_flags(self, tmp_path):
+        # Fleet jobs run with each request's own config in spawn
+        # workers, so serve accepts only the telemetry flags.
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--fleet-dir", str(tmp_path), "--no-fused-window"])
+        assert exc.value.code == 2

@@ -204,9 +204,18 @@ class TestFleetRequest:
         with pytest.raises(ValueError, match="unknown request field"):
             FleetRequest.from_dict(fleet_request(frobnicate=True))
 
-    def test_unknown_config_field_rejected(self):
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("warp", 9),
+            ("walk_dedup", False),
+            ("segment_cache", False),
+            ("approx_table_walk", 0.5),
+        ],
+    )
+    def test_unknown_config_field_rejected(self, key, value):
         with pytest.raises(ValueError, match="unknown config field"):
-            FleetRequest.from_dict(fleet_request(config={"warp": 9}))
+            FleetRequest.from_dict(fleet_request(config={key: value}))
 
     def test_baseline_must_be_requested(self):
         with pytest.raises(ValueError, match="baseline"):

@@ -55,10 +55,19 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="unknown scenario keys"):
             run_scenario(minimal_scenario(extra=1))
 
-    def test_unknown_config_key(self):
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("typo_knob", 1),
+            ("walk_dedup", False),
+            ("segment_cache", False),
+            ("approx_table_walk", 0.5),
+        ],
+    )
+    def test_unknown_config_key(self, key, value):
         scenario = minimal_scenario()
-        scenario["config"]["typo_knob"] = 1
-        with pytest.raises(ScenarioError, match="typo_knob"):
+        scenario["config"][key] = value
+        with pytest.raises(ScenarioError, match=key):
             run_scenario(scenario)
 
     def test_unknown_policy_type(self):
