@@ -33,12 +33,21 @@ from run_benchmarks import _load_stats  # noqa: E402
 
 
 def latest_committed(root: str = REPO_ROOT) -> str | None:
-    """Path of the highest-numbered ``BENCH_PR<N>.json``, or ``None``."""
+    """Path of the highest-numbered pytest-benchmark ``BENCH_PR<N>.json``.
+
+    Records of the cold-process benchmark (``perfbench/``, whose
+    ``suite`` names it) have no per-test stats to diff and are skipped.
+    Returns ``None`` when there is no such file.
+    """
     best, best_n = None, -1
     for path in glob.glob(os.path.join(root, "BENCH_PR*.json")):
         match = re.fullmatch(r"BENCH_PR(\d+)\.json", os.path.basename(path))
-        if match and int(match.group(1)) > best_n:
-            best, best_n = path, int(match.group(1))
+        if not match or int(match.group(1)) <= best_n:
+            continue
+        with open(path, encoding="utf-8") as handle:
+            if json.load(handle).get("suite", "").startswith("perfbench"):
+                continue
+        best, best_n = path, int(match.group(1))
     return best
 
 

@@ -554,6 +554,7 @@ def _cmd_serve(args) -> int:
             ["cache hits", status.get("cache_hits", "n/a")],
             ["cache misses", status.get("cache_misses", "n/a")],
             ["store bytes", status.get("store_bytes", "n/a")],
+            ["pool spawns", status.get("pool_spawns", "n/a")],
             ["jobs/s (busy)", f"{status['jobs_per_s']:.2f}"
              if isinstance(status.get("jobs_per_s"), float) else "n/a"],
         ]

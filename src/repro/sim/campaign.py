@@ -184,12 +184,15 @@ def build_shared(
     mix_factory=None,
     isolate_metrics: bool = False,
 ) -> dict:
-    """The campaign-invariant dict every supervised worker is seeded with.
+    """The dict every supervised job of one campaign runs against.
 
-    Factored out of :func:`run_campaign` so the fleet daemon
-    (:mod:`repro.sim.fleet`) provisions its persistent worker pools with
-    exactly the invariants a one-shot campaign would ship — same
-    thermal-cache warm-up, same metrics-isolation contract.
+    It has two parts (see :mod:`repro.sim.supervisor`): the pool
+    invariants ``table`` and ``thermal_cache_enabled``, installed once
+    per worker process, and the campaign fields, which ship with every
+    dispatched unit.  Factored out of :func:`run_campaign` so the fleet
+    daemon (:mod:`repro.sim.fleet`) runs its campaigns with exactly the
+    fields a one-shot campaign would use — same thermal-cache warm-up,
+    same metrics-isolation contract.
     """
     registry = get_registry()
     return {
@@ -274,10 +277,11 @@ def run_campaign(
     workers:
         Process count.  Every (policy, chip) lifetime is independent,
         so results are bit-identical to the serial run; use this for
-        paper-scale campaigns.  The shared table/config/knobs ship once
-        per worker through the pool initializer (not once per job), and
-        each worker's thermal compute cache is pre-warmed so no job pays
-        a first-miss factorization.
+        paper-scale campaigns.  The aging table ships once per worker
+        through the pool initializer (not once per job); the config and
+        knobs ride with each dispatched unit, and each worker's thermal
+        compute cache is pre-warmed so no job pays a first-miss
+        factorization.
     dtm, mix_factory:
         Forwarded to every :class:`LifetimeSimulator` (``None`` = the
         simulator's defaults).  With a worker pool both must pickle

@@ -14,9 +14,10 @@ daemon turns the one-shot campaign machinery into a service:
 * **Sharded supervised execution** — each request's jobs run through
   :func:`repro.sim.supervisor.run_supervised_jobs` exactly like a
   one-shot campaign (same retries/batching/bit-identical results), but
-  against a *persistent* :class:`~repro.sim.supervisor.WorkerPoolHost`
-  keyed by the campaign digest, so back-to-back requests of the same
-  configuration reuse warm workers.
+  against one *persistent* :class:`~repro.sim.supervisor.WorkerPoolHost`
+  for the daemon's lifetime: its workers hold only the aging table, and
+  each request's per-floor campaign config ships with the dispatched
+  units, so every request and dark floor reuses the same warm workers.
 * **Streaming store, running aggregates** — every completed job lands
   in the append-only :class:`~repro.sim.fleet.store.ResultStore` via
   the supervisor's ``on_result`` hook and folds into the daemon's
@@ -288,8 +289,9 @@ class FleetDaemon:
     running aggregates (rebuilt from the store at startup, folded
     incrementally afterwards — the two paths produce identical state),
     and the persistent worker pool.  ``workers=1`` runs jobs in-process
-    through the supervisor's serial backend; higher counts provision a
-    spawn pool per campaign digest and keep it warm across requests.
+    through the supervisor's serial backend; higher counts spawn one
+    pool on the first simulated job and keep it warm across every
+    request and dark floor (campaign fields ride with each unit).
     """
 
     def __init__(
@@ -480,7 +482,7 @@ class FleetDaemon:
                 continue
             failures.extend(
                 self._run_floor(
-                    config, floor_jobs, request, digest, requirement, progress
+                    config, floor_jobs, request, requirement, progress
                 )
             )
         registry.inc("fleet.cache_hits", hits)
@@ -512,7 +514,7 @@ class FleetDaemon:
         return response
 
     def _run_floor(
-        self, config, floor_jobs, request, digest, requirement, progress
+        self, config, floor_jobs, request, requirement, progress
     ) -> list:
         """Simulate one dark floor's uncached jobs, streaming to store."""
         keys = [key for key, _ in floor_jobs]
@@ -526,7 +528,7 @@ class FleetDaemon:
         # The parent runs serial jobs and warms identically to workers.
         _init_worker(shared)
         if self.pool_host is not None:
-            self.pool_host.ensure(shared, signature=digest)
+            self.pool_host.ensure(shared)
 
         def on_result(index, job, result) -> None:
             record = self.store.append(
@@ -579,6 +581,9 @@ class FleetDaemon:
                 "jobs_failed": self.jobs_failed,
                 "jobs_per_s": rate,
                 "workers": self.workers,
+                "pool_spawns": (
+                    self.pool_host.spawns if self.pool_host is not None else 0
+                ),
                 "aggregates": self.aggregates.to_dict(),
             },
         )

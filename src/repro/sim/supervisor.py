@@ -45,8 +45,17 @@ cut in at the front), and two hooks exist for long-running callers —
 ``on_result`` streams each completed job out as it lands (the fleet
 daemon's store path, instead of waiting for the returned list), and
 ``pool_host`` lends a caller-owned :class:`WorkerPoolHost` so a daemon
-keeps one warm spawn pool across many supervised runs of the same
-campaign invariants instead of rebuilding it per request.
+keeps one warm spawn pool across many supervised runs instead of
+rebuilding it per request.
+
+The ``shared`` dict a campaign is run with has two parts.  The *pool
+invariants* (:data:`POOL_FIELDS`: the aging table and the thermal-cache
+switch) are what a worker process holds for its whole life; the pool
+initializer installs them once per worker.  The *campaign fields*
+(:data:`CAMPAIGN_FIELDS`: config, DTM and mix knobs, metrics flags and
+the floorplans to warm) travel inside every dispatched unit, so one
+pool serves any number of campaigns — different dark floors,
+populations or configs — that share a table.
 
 Failure telemetry flows through :mod:`repro.obs`:
 ``campaign.retries`` (re-attempts dispatched), ``campaign.job_failures``
@@ -81,34 +90,63 @@ from repro.thermal.cache import (
 #: (hundreds of ms to seconds), high enough to keep the parent idle.
 _POLL_INTERVAL_S = 0.02
 
-#: Campaign-wide invariants shared by every job of the current campaign.
-#: In a spawn worker :func:`_init_worker` fills it once from the pool
-#: initializer (the table/config/knobs are pickled once per *worker*
-#: instead of once per *job*); the serial path calls the same
-#: initializer in-process so both paths run identical code.
+#: Pool invariants: the state a worker process holds for its whole
+#: life, installed once per worker by the pool initializer (the table
+#: is pickled once per *worker*, not once per job or campaign).
+POOL_FIELDS = ("table", "thermal_cache_enabled")
+
+#: Campaign fields: shipped inside every dispatched unit and installed
+#: by the worker before the unit runs.
+CAMPAIGN_FIELDS = (
+    "config",
+    "dtm",
+    "mix_factory",
+    "collect",
+    "tracing",
+    "isolate_metrics",
+    "warm_floorplans",
+)
+
+#: The pool invariants plus the campaign fields of the unit being run.
+#: A spawn worker fills it from the pool initializer and each unit; the
+#: serial path calls :func:`_init_worker` in-process with the whole
+#: ``shared`` dict, so both paths run identical code.
 _SHARED: dict = {}
 
 
 def _init_worker(shared: dict) -> None:
-    """Install the campaign invariants and pre-warm the thermal cache.
+    """Install the pool invariants, and the campaign fields if present.
+
+    The pool initializer passes only :data:`POOL_FIELDS`; an in-process
+    caller passes a whole ``shared`` dict and is then ready to run that
+    campaign's units.
+    """
+    _SHARED.clear()
+    _SHARED.update({name: shared[name] for name in POOL_FIELDS})
+    # Spawn workers start with a fresh (enabled) cache; mirror the
+    # parent's setting so a cache-disabled campaign is cache-disabled
+    # everywhere and counters again match the serial run.
+    configure_thermal_cache(enabled=shared["thermal_cache_enabled"])
+    if "config" in shared:
+        _install_campaign(shared)
+
+
+def _install_campaign(campaign: dict) -> None:
+    """Install one campaign's fields and pre-warm its thermal cache keys.
 
     Warming happens with the obs registry suppressed (see
     :func:`repro.thermal.cache.warm_thermal_cache`), so every job —
     serial in the parent or parallel in any worker — later sees an
     identically warm cache and records identical ``thermal.*`` counters.
     That is what keeps parallel metric aggregates bit-identical to
-    serial ones even though each worker process has its own cache.
+    serial ones even though each worker process has its own cache.  A
+    worker that already holds the keys pays only cache hits here.
     """
-    _SHARED.clear()
-    _SHARED.update(shared)
-    # Spawn workers start with a fresh (enabled) cache; mirror the
-    # parent's setting so a cache-disabled campaign is cache-disabled
-    # everywhere and counters again match the serial run.
-    configure_thermal_cache(enabled=shared["thermal_cache_enabled"])
-    if shared["thermal_cache_enabled"]:
-        config = shared["config"]
-        for floorplan in shared["warm_floorplans"]:
-            warm_thermal_cache(floorplan, dt_s=config.control_dt_s)
+    _SHARED.update({name: campaign[name] for name in CAMPAIGN_FIELDS})
+    if _SHARED["thermal_cache_enabled"]:
+        dt_s = campaign["config"].control_dt_s
+        for floorplan in campaign["warm_floorplans"]:
+            warm_thermal_cache(floorplan, dt_s=dt_s)
 
 
 def _run_one(job):
@@ -199,12 +237,15 @@ def _run_unit(jobs):
 def _pool_entry(keyed_unit):
     """Pool wrapper around :func:`_run_unit` that never raises.
 
-    Exceptions are flattened into a tagged tuple so one bad unit cannot
-    poison the result stream; the supervisor turns the tag back into a
-    retry, a demotion, or a :class:`JobFailure`.
+    ``keyed_unit`` is ``(key, jobs, campaign)``: the unit's campaign
+    fields are installed before it runs.  Exceptions are flattened into
+    a tagged tuple so one bad unit cannot poison the result stream; the
+    supervisor turns the tag back into a retry, a demotion, or a
+    :class:`JobFailure`.
     """
-    key, jobs = keyed_unit
+    key, jobs, campaign = keyed_unit
     try:
+        _install_campaign(campaign)
         results, snapshot = _run_unit(jobs)
     except Exception as error:  # noqa: BLE001 - the whole point
         return key, False, f"{type(error).__name__}: {error}", None
@@ -244,23 +285,29 @@ class CampaignJobError(RuntimeError):
 
 
 class WorkerPoolHost:
-    """A reusable spawn pool provisioned with campaign invariants.
+    """A reusable spawn pool whose workers hold the pool invariants.
 
     A one-shot campaign builds a pool, runs, and tears it down.  A
-    fleet daemon runs many campaigns back to back; rebuilding the pool
-    (and re-shipping the table/config through the initializer) per
-    request throws the warm workers away.  A host owns the pool
-    *across* :func:`run_supervised_jobs` calls:
+    fleet daemon runs many campaigns back to back; respawning the pool
+    (re-importing the package and re-shipping the table) per request
+    throws the warm workers away.  A host owns the pool *across*
+    :func:`run_supervised_jobs` calls.  Its workers hold only
+    :data:`POOL_FIELDS`; every other field of a campaign's ``shared``
+    dict (:data:`CAMPAIGN_FIELDS`) rides with each dispatched unit, so
+    the pool's identity is the table object and the cache switch alone:
 
-    * :meth:`ensure` provisions the pool for a campaign's shared
-      invariants and is a no-op while the provisioning ``signature``
-      (e.g. the campaign digest) is unchanged — so back-to-back
-      requests of the same campaign reuse warm workers, and a request
-      with different invariants transparently rebuilds.
+    * :meth:`ensure` provisions the pool for a campaign's ``shared``
+      dict and keeps the live pool whenever its pool invariants match —
+      any dark floor, population or config on the same table reuses
+      the warm workers; a different table or cache switch respawns.
     * :meth:`rebuild` replaces a compromised pool (the supervisor's
       timeout path) with a fresh one under the same invariants.
     * :meth:`close` tears the pool down (the daemon calls it on stop;
       an unclosed host's pool dies with the process).
+
+    Every spawn, including a rebuild, counts ``supervisor.pool_spawns``
+    and times ``supervisor.pool_spawn`` in the active metrics registry;
+    :attr:`spawns` keeps the host's own total.
     """
 
     def __init__(self, workers: int):
@@ -269,8 +316,9 @@ class WorkerPoolHost:
         self.workers = int(workers)
         self._context = multiprocessing.get_context("spawn")
         self._pool = None
-        self._shared: dict | None = None
-        self._signature: object = None
+        self._invariants: dict | None = None
+        #: Pools this host has spawned (first provision and rebuilds).
+        self.spawns = 0
 
     @property
     def pool(self):
@@ -279,38 +327,31 @@ class WorkerPoolHost:
             raise RuntimeError("pool host not provisioned; call ensure()")
         return self._pool
 
-    @property
-    def shared(self) -> dict | None:
-        """The invariants the current pool's workers were built with."""
-        return self._shared
+    def holds(self, shared: dict) -> bool:
+        """Whether the workers were provisioned with ``shared``'s pool
+        invariants: the same table object and the same cache switch."""
+        return (
+            self._invariants is not None
+            and self._invariants["table"] is shared["table"]
+            and self._invariants["thermal_cache_enabled"]
+            == shared["thermal_cache_enabled"]
+        )
 
-    def ensure(self, shared: dict, signature=None) -> None:
-        """Provision the pool for ``shared``; reuse it when ``signature``
-        matches the live pool's (``None`` never matches: always fresh)."""
-        if (
-            self._pool is not None
-            and signature is not None
-            and signature == self._signature
-        ):
-            self._shared = shared
+    def ensure(self, shared: dict) -> None:
+        """Provision the pool for ``shared``; keep a live pool that
+        already holds its pool invariants."""
+        if self._pool is not None and self.holds(shared):
             return
         self.close()
-        self._shared = shared
-        self._signature = signature
-        self._pool = self._context.Pool(
-            self.workers, initializer=_init_worker, initargs=(self._shared,)
-        )
+        self._invariants = {name: shared[name] for name in POOL_FIELDS}
+        self._spawn()
 
     def rebuild(self) -> None:
         """Replace a hung/compromised pool, same invariants."""
-        if self._shared is None:
+        if self._invariants is None:
             raise RuntimeError("cannot rebuild before ensure()")
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-        self._pool = self._context.Pool(
-            self.workers, initializer=_init_worker, initargs=(self._shared,)
-        )
+        self.close()
+        self._spawn()
 
     def close(self) -> None:
         """Tear the pool down (the next ensure() builds a fresh one)."""
@@ -318,7 +359,17 @@ class WorkerPoolHost:
             self._pool.terminate()
             self._pool.join()
             self._pool = None
-        self._signature = None
+
+    def _spawn(self) -> None:
+        registry = get_registry()
+        with registry.timer("supervisor.pool_spawn", workers=self.workers):
+            self._pool = self._context.Pool(
+                self.workers,
+                initializer=_init_worker,
+                initargs=(self._invariants,),
+            )
+        registry.inc("supervisor.pool_spawns")
+        self.spawns += 1
 
 
 def empty_lifetime(policy, chip, config) -> LifetimeResult:
@@ -584,7 +635,7 @@ def _run_pooled(
     dead worker cannot be killed individually inside a
     :class:`multiprocessing.Pool`, so a timeout tears the whole pool
     down, rebuilds it through the same initializer (fresh workers, same
-    shared invariants), and re-queues the innocent in-flight units
+    pool invariants), and re-queues the innocent in-flight units
     without charging them an attempt.  A multi-chip unit that exhausts
     its retries (error or timeout) is demoted to singleton units at the
     front of the queue rather than failed outright.
@@ -593,19 +644,21 @@ def _run_pooled(
     an ephemeral host is built here and torn down on return (the
     one-shot campaign shape).  With ``pool_host`` the caller owns the
     pool's lifetime and must have :meth:`WorkerPoolHost.ensure`-d it
-    with *this* campaign's ``shared`` — the daemon's persistent-pool
+    for this campaign's pool invariants — the daemon's persistent-pool
     path; timeouts still rebuild through the host, and the host stays
-    alive on return.
+    alive on return.  Either way the campaign fields ship with every
+    unit.
     """
     owned = pool_host is None
     host = WorkerPoolHost(workers) if owned else pool_host
     if owned:
         host.ensure(shared)
-    elif host.shared is not shared:
+    elif not host.holds(shared):
         raise ValueError(
-            "pool_host was provisioned with different shared invariants; "
-            "call ensure(shared, signature) for this campaign first"
+            "pool_host was provisioned with different pool invariants; "
+            "call ensure(shared) for this campaign first"
         )
+    campaign = {name: shared[name] for name in CAMPAIGN_FIELDS}
     pending = deque(states)
     inflight: dict[int, tuple] = {}  # key -> (async_result, deadline, state)
     try:
@@ -614,7 +667,7 @@ def _run_pooled(
                 state = pending.popleft()
                 state.attempts += 1
                 async_result = host.pool.apply_async(
-                    _pool_entry, ((state.indices[0], state.jobs),)
+                    _pool_entry, ((state.indices[0], state.jobs, campaign),)
                 )
                 deadline = (
                     time.monotonic() + job_timeout_s

@@ -36,8 +36,8 @@ count — the reuse is regression-testable (see
 The cache is enabled by default; :func:`configure_thermal_cache`
 disables it (every build then recomputes, exactly as before this cache
 existed) and :func:`clear_thermal_cache` empties it.  Each spawn worker
-process has its own cache; ``run_campaign`` warms worker caches from its
-pool initializer so no job pays the first-miss cost.
+process has its own cache; a pool worker warms it for each dispatched
+unit's floorplans before running it, so no job pays the first-miss cost.
 """
 
 from __future__ import annotations
@@ -256,9 +256,10 @@ def warm_thermal_cache(floorplan, config=None, dt_s=None) -> None:
     Runs the network build, influence probe, zero-power baseline, and —
     when ``dt_s`` is given — the step factorization, with the obs
     registry suppressed, so warming records neither factorizations nor
-    hits.  ``run_campaign`` calls this in the parent *and* in every pool
-    worker's initializer: jobs then see an identical warm cache wherever
-    they run, which keeps serial and parallel counter aggregates equal.
+    hits.  The campaign supervisor calls this in the parent *and* in a
+    pool worker before each unit: jobs then see an identical warm cache
+    wherever they run, which keeps serial and parallel counter
+    aggregates equal.
     """
     from repro.obs import use_registry
     from repro.thermal.rcnet import ThermalRCNetwork, TransientIntegrator

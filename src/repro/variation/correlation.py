@@ -5,10 +5,15 @@ with each point of a grid overlaid on the die, with correlation that
 decays with distance.  We build the full covariance matrix for the grid
 and sample via a Cholesky factor; for the paper's 8x8 chip with a 4x4
 grid per core this is a 1024-point field, well within one-shot Cholesky
-territory.
+territory.  Every chip of a population shares the grid, so the factor
+is computed once per (grid points, sigma, length) and reused: the same
+input gives the same LAPACK factor, so cached and uncached draws are
+bit-identical.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 from scipy import linalg
@@ -56,8 +61,22 @@ def sample_correlated_field(
     points are much closer together than the correlation length (near-
     singular covariance).
     """
+    points_mm = np.ascontiguousarray(points_mm, dtype=float)
+    chol = _cholesky_factor(
+        points_mm.tobytes(), points_mm.shape, sigma, length_mm
+    )
+    normal = rng.standard_normal(chol.shape[0])
+    return mean + chol @ normal
+
+
+@lru_cache(maxsize=4)
+def _cholesky_factor(
+    points_bytes: bytes, shape: tuple, sigma: float, length_mm: float
+) -> np.ndarray:
+    """Read-only lower Cholesky factor of the jittered grid covariance."""
+    points_mm = np.frombuffer(points_bytes, dtype=float).reshape(shape)
     cov = build_covariance(points_mm, sigma, length_mm)
     jitter = 1e-10 * sigma**2
     chol = linalg.cholesky(cov + jitter * np.eye(cov.shape[0]), lower=True)
-    normal = rng.standard_normal(cov.shape[0])
-    return mean + chol @ normal
+    chol.flags.writeable = False
+    return chol

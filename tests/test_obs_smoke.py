@@ -13,6 +13,7 @@ from repro.core import HayatManager
 from repro.obs import MetricsRegistry, load_trace_jsonl, use_registry
 from repro.sim import SimulationConfig, run_campaign
 from repro.sim.export import save_trace_jsonl
+from repro.sim.supervisor import WorkerPoolHost
 from repro.variation import generate_population
 
 
@@ -96,3 +97,39 @@ class TestTraceSmoke:
             >= snapshot.counter("thermal.coupled_iterations")
             >= snapshot.counter("thermal.coupled_solves")
         )
+
+
+class TestPoolSpawnTrace:
+    def test_spawn_metrics_in_a_valid_trace(self, aging_table, tmp_path):
+        """A pool spawn and a rebuild each count ``supervisor.pool_spawns``
+        and time ``supervisor.pool_spawn``; the trace validates."""
+        registry = MetricsRegistry(trace=True)
+        host = WorkerPoolHost(1)
+        try:
+            with use_registry(registry):
+                host.ensure(
+                    {"table": aging_table, "thermal_cache_enabled": True}
+                )
+                host.rebuild()
+        finally:
+            host.close()
+        path = str(tmp_path / "spawns.jsonl")
+        save_trace_jsonl(registry.snapshot(), path)
+        lines = load_trace_jsonl(path, validate=True)
+        counters = {
+            line["name"]: line["value"]
+            for line in lines
+            if line["kind"] == "counter"
+        }
+        timers = {
+            line["name"]: line["count"]
+            for line in lines
+            if line["kind"] == "timer"
+        }
+        spans = [
+            line for line in lines
+            if line["kind"] == "span" and line["name"] == "supervisor.pool_spawn"
+        ]
+        assert counters["supervisor.pool_spawns"] == 2
+        assert timers["supervisor.pool_spawn"] == 2
+        assert len(spans) == 2 and all(s["workers"] == 1 for s in spans)

@@ -356,29 +356,93 @@ class TestDaemon:
             daemon_module.FLEET_POLICIES = original
 
 
-class TestDaemonPool:
-    def test_warm_pool_reused_across_requests(self, tmp_path):
-        """Back-to-back requests with the same campaign digest must run
-        on the same spawn pool (signature-keyed reuse), not rebuild it."""
-        root = str(tmp_path / "fleet")
-        with FleetDaemon(root, workers=2) as daemon:
-            submit_request(
-                root, fleet_request(policies=["hayat"], baseline=None)
-            )
-            daemon.serve(drain=True)
-            first_pool = daemon.pool_host._pool
-            assert first_pool is not None
-            # Different requirement: same digest (config unchanged), so
-            # jobs re-simulate on the *same* warm pool.
-            submit_request(
+def _serve_two_populations(root: str, workers: int) -> dict:
+    """Serve two requests that differ in population, at both floors."""
+    responses = {}
+    with FleetDaemon(root, workers=workers) as daemon:
+        pools = []
+        for population_seed in (5, 6):
+            request_id = submit_request(
                 root,
                 fleet_request(
-                    policies=["hayat"], baseline=None, requirement_ghz=2.0
+                    population_seed=population_seed,
+                    dark_fractions=[0.25, 0.5],
                 ),
             )
             daemon.serve(drain=True)
-            assert daemon.pool_host._pool is first_pool
-            assert len(daemon.store) == 4
+            with open(os.path.join(root, "results", f"{request_id}.json")) as f:
+                responses[request_id] = json.load(f)
+            if daemon.pool_host is not None:
+                pools.append(daemon.pool_host.pool)
+        spawns = 0 if daemon.pool_host is None else daemon.pool_host.spawns
+    return {
+        "responses": responses,
+        "pools": pools,
+        "spawns": spawns,
+        "status": fleet_status(root),
+    }
+
+
+def _stored(root: str) -> dict:
+    """Every stored record's scalars and block bytes, keyed by job key."""
+    stored = {}
+    with ResultStore(os.path.join(root, "store")) as store:
+        for key in store.keys():
+            record = store.record(key)
+            stored[key] = (
+                json.dumps(record["scalars"], sort_keys=True),
+                {
+                    name: store.block(record, name).tobytes()
+                    for name in record["blocks"]
+                },
+            )
+    return stored
+
+
+@pytest.fixture(scope="module")
+def served_fleets(tmp_path_factory):
+    base = tmp_path_factory.mktemp("fleets")
+    pooled_root, serial_root = str(base / "pooled"), str(base / "serial")
+    return {
+        "pooled": dict(
+            _serve_two_populations(pooled_root, workers=2), root=pooled_root
+        ),
+        "serial": dict(
+            _serve_two_populations(serial_root, workers=1), root=serial_root
+        ),
+    }
+
+
+class TestDaemonPool:
+    def test_warm_pool_reused_across_requests(self, served_fleets):
+        """Requests with different campaign digests (another population,
+        another dark floor) all run on the daemon's one spawn pool."""
+        pooled = served_fleets["pooled"]
+        first, second = pooled["pools"]
+        assert first is second
+        assert pooled["spawns"] == 1
+        assert pooled["status"]["pool_spawns"] == 1
+        assert served_fleets["serial"]["status"]["pool_spawns"] == 0
+        assert all(
+            r["simulated"] == r["jobs"] == 8
+            for r in pooled["responses"].values()
+        )
+
+    def test_pooled_daemon_matches_serial_daemon(self, served_fleets):
+        """The pool's units carry their own campaign config, so every
+        stored record and response aggregate equals the serial run's."""
+        pooled, serial = served_fleets["pooled"], served_fleets["serial"]
+        assert pooled["responses"].keys() == serial["responses"].keys()
+        for request_id, response in pooled["responses"].items():
+            assert json.dumps(response["aggregates"], sort_keys=True) == (
+                json.dumps(
+                    serial["responses"][request_id]["aggregates"],
+                    sort_keys=True,
+                )
+            )
+        pooled_store = _stored(pooled["root"])
+        assert len(pooled_store) == 16
+        assert pooled_store == _stored(serial["root"])
 
 
 class TestKillResume:

@@ -11,6 +11,15 @@ from repro.sim import SimulationConfig, run_campaign
 from repro.variation import generate_population
 
 
+#: Metrics of the pooled backend itself (pool spawns), which a serial
+#: run never records.
+POOL_PREFIX = "supervisor."
+
+
+def _without_pool(metrics: dict) -> dict:
+    return {k: v for k, v in metrics.items() if not k.startswith(POOL_PREFIX)}
+
+
 @pytest.fixture(scope="module")
 def pieces(aging_table):
     cfg = SimulationConfig(
@@ -108,15 +117,20 @@ class TestParallelMetricsAggregation:
     def test_parallel_metrics_identical_to_serial(self, pieces):
         serial = self._counters(pieces, workers=1)
         parallel = self._counters(pieces, workers=2)
-        assert serial.counters == parallel.counters
+        # The pooled backend alone spawns a pool, exactly once; every
+        # other metric is the simulation's and must match serial.
+        assert parallel.counters["supervisor.pool_spawns"] == 1
+        assert parallel.timers["supervisor.pool_spawn"].count == 1
+        assert "supervisor.pool_spawns" not in serial.counters
+        assert serial.counters == _without_pool(parallel.counters)
         assert {n: s.count for n, s in serial.timers.items()} == {
-            n: s.count for n, s in parallel.timers.items()
+            n: s.count for n, s in _without_pool(parallel.timers).items()
         }
         # Span events (campaign.run, sim.epoch, ...) ship home too.
         def span_names(snapshot):
             names = [
                 e["name"] for e in snapshot.events if e["kind"] == "span"
             ]
-            return sorted(names)
+            return sorted(n for n in names if not n.startswith(POOL_PREFIX))
 
         assert span_names(serial) == span_names(parallel)

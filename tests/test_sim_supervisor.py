@@ -5,8 +5,10 @@ spawn workers; cross-attempt state (fail once, then succeed) lives in
 sentinel files because a retried job may run in a fresh process.
 """
 
+import copy
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +20,9 @@ from repro.sim import (
     SimulationConfig,
     run_campaign,
 )
+from repro.sim.campaign import build_shared
+from repro.sim.export import result_to_dict
+from repro.sim.supervisor import WorkerPoolHost, run_supervised_jobs
 from repro.variation import generate_population
 
 
@@ -266,3 +271,79 @@ class TestPooledSupervision:
         np.testing.assert_array_equal(
             slow.health_trajectory(), fast.health_trajectory()
         )
+
+
+class TestWorkerPoolHost:
+    def test_rebuild_keeps_the_pool_identity(self, pieces):
+        """A timeout closes the pool and rebuilds it; the next ensure
+        with the same invariants must keep the rebuilt pool, not spawn
+        a third."""
+        cfg, population, table = pieces
+        shared = build_shared(cfg, table, population)
+        host = WorkerPoolHost(1)
+        registry = MetricsRegistry()
+        try:
+            with use_registry(registry):
+                host.ensure(shared)
+                host.close()  # the supervisor's timeout path
+                host.rebuild()
+                rebuilt = host.pool
+                host.ensure(shared)
+                assert host.pool is rebuilt
+                # Another dark floor on the same table: still no spawn.
+                other_floor = replace(cfg, dark_fraction_min=0.25)
+                host.ensure(dict(shared, config=other_floor))
+                assert host.pool is rebuilt
+                # A different table object is a different pool identity.
+                host.ensure(dict(shared, table=copy.copy(table)))
+                assert host.pool is not rebuilt
+        finally:
+            host.close()
+        assert host.spawns == 3
+        assert registry.counter("supervisor.pool_spawns") == 3
+        assert registry.snapshot().timers["supervisor.pool_spawn"].count == 3
+
+    def test_foreign_host_rejected(self, pieces):
+        cfg, population, table = pieces
+        host = WorkerPoolHost(1)
+        with pytest.raises(ValueError, match="pool invariants"):
+            run_supervised_jobs(
+                [(HayatManager(), population[0])],
+                build_shared(cfg, table, population),
+                config=cfg,
+                pool_host=host,
+            )
+
+    def test_campaigns_share_one_host(self, pieces):
+        """Two campaigns at different dark floors run on one pool; each
+        matches its serial run, so every unit ran with its own config
+        rather than one a worker kept from an earlier campaign."""
+        cfg, population, table = pieces
+        host = WorkerPoolHost(2)
+        pooled = {}
+        try:
+            for fraction in (0.25, 0.5):
+                config = replace(cfg, dark_fraction_min=fraction)
+                shared = build_shared(config, table, population)
+                host.ensure(shared)
+                jobs = [(HayatManager(), chip) for chip in population]
+                pooled[fraction], failures = run_supervised_jobs(
+                    jobs, shared, config=config, workers=2, pool_host=host
+                )
+                assert failures == []
+            assert host.spawns == 1
+        finally:
+            host.close()
+        for fraction, results in pooled.items():
+            serial = run_campaign(
+                [HayatManager()],
+                config=replace(cfg, dark_fraction_min=fraction),
+                population=population,
+                table=table,
+            )
+            assert [result_to_dict(r) for r in results] == [
+                result_to_dict(r) for r in serial.results["hayat"]
+            ]
+        assert [result_to_dict(r) for r in pooled[0.25]] != [
+            result_to_dict(r) for r in pooled[0.5]
+        ]

@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import linalg
 
+from repro.variation import chip as chip_module
+from repro.variation import correlation
 from repro.variation.correlation import (
     build_covariance,
     exponential_correlation,
     sample_correlated_field,
 )
+from repro.variation.population import generate_population
 
 
 class TestExponentialCorrelation:
@@ -95,3 +99,43 @@ def test_property_sample_finite_and_shaped(sigma, length, seed):
     )
     assert field.shape == (12,)
     assert np.isfinite(field).all()
+
+
+def _uncached_field(points_mm, mean, sigma, length_mm, rng):
+    """Oracle: build and factor the covariance on every draw."""
+    cov = build_covariance(points_mm, sigma, length_mm)
+    jitter = 1e-10 * sigma**2
+    chol = linalg.cholesky(cov + jitter * np.eye(cov.shape[0]), lower=True)
+    return mean + chol @ rng.standard_normal(cov.shape[0])
+
+
+class TestFactorCache:
+    def test_population_matches_uncached_oracle(self, monkeypatch):
+        correlation._cholesky_factor.cache_clear()
+        factorizations = []
+        original = correlation.linalg.cholesky
+
+        def counting(*args, **kwargs):
+            factorizations.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(correlation.linalg, "cholesky", counting)
+        cached = generate_population(4, seed=12)
+        # Four chips on one grid factor the covariance once.
+        assert len(factorizations) == 1
+        monkeypatch.setattr(
+            chip_module, "sample_correlated_field", _uncached_field
+        )
+        oracle = generate_population(4, seed=12)
+        assert len(factorizations) == 5  # the oracle factors per chip
+        for left, right in zip(cached, oracle):
+            np.testing.assert_array_equal(left.theta, right.theta)
+
+    def test_cached_factor_is_read_only(self):
+        pts = np.random.default_rng(2).uniform(0, 5, (6, 2))
+        field = sample_correlated_field(
+            pts, 1.0, 0.1, 4.0, np.random.default_rng(0)
+        )
+        assert field.flags.writeable
+        factor = correlation._cholesky_factor(pts.tobytes(), pts.shape, 0.1, 4.0)
+        assert not factor.flags.writeable
