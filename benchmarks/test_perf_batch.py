@@ -1,9 +1,9 @@
-"""Batched population engine throughput on a 64-chip campaign.
+"""Lockstep lanes' throughput on a 64-chip campaign.
 
-Not a paper figure — measures the tentpole claim of the batched engine
-(`repro.sim.batch`): stacked thermal solves and batched aging gathers
-over a whole chip population versus the per-chip path, bit-identical
-results on both sides.
+Not a paper figure — measures what grouping chips into lockstep lanes
+of the lifetime engine (`LifetimeSimulator.run_batch`) buys: stacked
+thermal solves and batched aging gathers over a whole chip population
+versus one-chip units, bit-identical results on both sides.
 
 Two workloads bound the honest answer:
 
@@ -43,16 +43,13 @@ from benchmarks.conftest import multicore_perf
 #: can be localized (which share grew?) rather than just detected.
 PHASE_TIMERS = (
     "sim.decision",
-    "sim.batch_decision",
     "sim.delta_eval",
     "sim.delta_eval@sim.decision",
-    "sim.delta_eval@sim.batch_decision",
     "sim.settle",
     "sim.window",
     "sim.aging",
     "aging.walk",
     "aging.walk@sim.decision",
-    "aging.walk@sim.batch_decision",
     "aging.walk@sim.aging",
     "aging.walk@sim.settle",
 )

@@ -41,7 +41,6 @@ DEFAULT_SUITE = os.path.join("benchmarks", "test_perf_simulator.py")
 #: ``repro.obs.core.ATTRIBUTED_TIMERS``) supply the per-parent split,
 #: recorded as a ``parents`` map on the breakdown entry.
 NESTED_TIMERS = {
-    "sim.batch_decision": "sim.decision",
     "sim.delta_eval": None,
     "aging.walk": None,
 }

@@ -69,23 +69,6 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--no-fused-window",
-        action="store_true",
-        help=(
-            "run the transient window step by step instead of through the "
-            "fused segment engine (results are bit-identical either way)"
-        ),
-    )
-    parser.add_argument(
-        "--no-batch-decision",
-        action="store_true",
-        help=(
-            "run epoch decisions chip by chip instead of through the "
-            "cross-lane batched mapper (results are bit-identical either "
-            "way; only affects batched runs)"
-        ),
-    )
-    parser.add_argument(
         "--no-delta-candidates",
         action="store_true",
         help=(
@@ -135,28 +118,20 @@ def _add_supervision_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_batch_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument(
+    parser.add_argument(
         "--batch-size",
         type=int,
         default=None,
         metavar="N",
         help=(
-            "chips per batched simulation unit (default: auto-sized from "
-            "the population and worker count; results are bit-identical "
-            "to the per-chip path)"
+            "chips per lockstep simulation unit (default: auto-sized from "
+            "the population and worker count; 1 runs one chip per unit; "
+            "results are bit-identical whatever the size)"
         ),
-    )
-    group.add_argument(
-        "--no-batch",
-        action="store_true",
-        help="force the per-chip simulation path (disable batching)",
     )
 
 
 def _batch_kwargs(args) -> dict:
-    if args.no_batch:
-        return {"batch_size": None}
     if args.batch_size is not None:
         if args.batch_size < 1:
             raise SystemExit("--batch-size must be >= 1")
@@ -364,9 +339,7 @@ def _cmd_simulate(args) -> int:
     table = default_aging_table()
     config = SimulationConfig(
         lifetime_years=args.years, dark_fraction_min=args.dark, window_s=10.0,
-        seed=args.seed, fused_window=not args.no_fused_window,
-        batch_decision=not args.no_batch_decision,
-        delta_candidates=not args.no_delta_candidates,
+        seed=args.seed, delta_candidates=not args.no_delta_candidates,
     )
     policy = POLICIES[args.policy]()
     print(f"Simulating {chip.chip_id} under {policy.name} for {args.years} years...")
@@ -404,9 +377,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_campaign(args) -> int:
     config = SimulationConfig(
         lifetime_years=args.years, dark_fraction_min=args.dark, window_s=10.0,
-        seed=args.seed, fused_window=not args.no_fused_window,
-        batch_decision=not args.no_batch_decision,
-        delta_candidates=not args.no_delta_candidates,
+        seed=args.seed, delta_candidates=not args.no_delta_candidates,
     )
     print(
         f"Campaign: {args.chips} chips x {args.years} years x "
@@ -491,8 +462,6 @@ def _cmd_sweep(args) -> int:
 
     config = SimulationConfig(
         lifetime_years=args.years, window_s=10.0, seed=args.seed,
-        fused_window=not args.no_fused_window,
-        batch_decision=not args.no_batch_decision,
         delta_candidates=not args.no_delta_candidates,
     )
     print(

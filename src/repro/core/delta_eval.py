@@ -94,8 +94,8 @@ class DeltaOptions:
     times cores — reaches this product.  Below it the per-round
     ``solve_base`` replay costs more than the small dense matmul it
     avoids (measured break-even on the 64-core paper chip is a full
-    single-lane round, rows*n ~ 4k), so single-chip sequential mapping
-    stays dense while stacked multi-lane rounds engage.  ``0`` forces
+    single-lane round, rows*n ~ 4k), so one-lane mapping stays dense
+    while stacked multi-lane rounds engage.  ``0`` forces
     the delta path for every round (the accuracy/identity tests use
     this); decisions are identical either way, only the arithmetic
     route changes.

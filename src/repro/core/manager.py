@@ -90,7 +90,7 @@ class HayatManager:
         ``self.prepare_epoch(ctxs[i], mixes[i], epoch_years)``: the DCM
         build, fencing, and unmapped-thread absorption stay per chip,
         and only the mapper's estimate calls are stacked (lanes the
-        stack cannot take are demoted to sequential mapping inside
+        stack cannot take map alone inside
         :func:`repro.core.mapper_batch.map_threads_batch`).
         """
         from repro.core.mapper_batch import MapperLane, map_threads_batch

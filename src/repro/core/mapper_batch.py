@@ -1,64 +1,64 @@
-"""Cross-lane batched Algorithm 1: lockstep mapping over a chip batch.
+"""The Algorithm 1 placement loop, in lockstep over any number of lanes.
 
-The batched population engine (:mod:`repro.sim.batch`) stacks the
-thermal and aging kernels but, through PR 6, still ran the Hayat
-decision phase chip by chip — and inside each chip, Algorithm 1 already
-batches only *within* a thread's candidate set.  For a 64-chip batch
-that is ~2k small ``predict_temperature_batch`` + ``estimate_next_health``
-calls per epoch, and profiling puts >80 % of campaign wall-clock there.
-
-This module advances the thread-placement loop of
-:meth:`repro.core.mapper.HayatMapper.map_threads` in lockstep across
-all lanes of a batch: each *round* takes every lane's next placeable
-thread, stacks the per-candidate matrices of all lanes into one
+A *lane* is one chip's mapping problem.  Each *round* takes every
+lane's next placeable thread (stiffest frequency requirement first),
+stacks the per-candidate matrices of all lanes into one
 ``(sum_lane_candidates, num_cores)`` block, and runs a single stacked
-temperature prediction and a single flattened aging-table walk where
-the sequential path ran one pair of calls per lane.
+temperature prediction, a single flattened aging-table walk and one
+Eq. 9 sweep.  :meth:`repro.core.mapper.HayatMapper.map_threads` is a
+one-lane pass; :func:`map_threads_batch` maps a whole chip batch.
 
-Bit identity with the sequential mapper is the design constraint:
+A lane's placements never depend on the lanes it shares a group with:
 
 * Every stacked kernel is row-independent — elementwise power and
   leakage math, a BLAS matmul partitioned over rows (never the shared
-  reduction axis), and a per-element table walk — so lane ``b``'s rows
-  match its solo call bit for bit.  Per-lane divergence (warm-start
-  temperatures, process-variation leakage scale, current health) rides
-  in as extra per-row inputs (``initial_temps_k``/``leakage_scale``
-  matrices, :meth:`~repro.core.estimation.OnlineHealthEstimator.
-  estimate_next_health_rows`).
-* All control flow stays per lane and textually mirrors
-  ``map_threads``: feasibility filtering, the all-overshoot least-bad
-  fallback, Eq. 9 + Eq. 6 scoring, the communication penalty, and the
-  carried-forward temperature estimate.
+  reduction axis), and a per-element table walk.  Per-lane divergence
+  (warm-start temperatures, process-variation leakage scale, current
+  health) rides in as extra per-row inputs (``initial_temps_k``/
+  ``leakage_scale`` matrices, :meth:`~repro.core.estimation.
+  OnlineHealthEstimator.estimate_next_health_rows`).
+* Control flow stays per lane: feasibility filtering, the
+  all-overshoot least-bad fallback, Eq. 9 + Eq. 6 scoring, the
+  communication penalty, and the carried-forward temperature estimate.
 * Lanes diverge freely: different thread counts just finish in
-  different rounds, threads with no feasible core are recorded unmapped
-  exactly as the sequential path records them, and a lane that cannot
-  join the stack at all — mismatched table/predictor parameters, or a
-  ``strict`` mapper whose mid-batch :class:`~repro.core.mapper.
-  MappingError` must not leave sibling lanes half-mapped — is demoted
-  to its own sequential ``map_threads`` call without breaking the
-  group (see :func:`unstackable_reason`).
+  different rounds, and threads with no feasible core are recorded
+  unmapped.  A lane that cannot share the stacked kernels —
+  mismatched table/predictor parameters, or a ``strict`` mapper whose
+  :class:`MappingError` must not leave sibling lanes half-mapped — runs
+  as its own one-lane group (see :func:`unstackable_reason`).
 
 Observability: ``sim.decision_batched_lanes`` counts lanes that mapped
-through a stacked group (the escape hatch ``--no-batch-decision``
-zeroes it).
+in a group of two or more.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.delta_eval import DeltaEvaluator, current_delta_options
 from repro.core.estimation import OnlineHealthEstimator
-from repro.core.mapper import HayatMapper
 from repro.core.weighting import WeightingFunction
 from repro.mapping.state import ChipState
 from repro.obs import get_registry
 from repro.thermal.predictor import ThermalPredictor
 
-__all__ = ["MapperLane", "map_threads_batch", "unstackable_reason"]
+if TYPE_CHECKING:
+    from repro.core.mapper import HayatMapper
+
+__all__ = [
+    "MapperLane",
+    "MappingError",
+    "map_threads_batch",
+    "unstackable_reason",
+]
+
+
+class MappingError(RuntimeError):
+    """No feasible placement exists for some thread."""
 
 
 @dataclass
@@ -90,8 +90,8 @@ def unstackable_reason(lane: MapperLane, ref: MapperLane) -> str | None:
     """
     m, m0 = lane.mapper, ref.mapper
     if m.strict:
-        # A strict lane may raise MappingError mid-round; sequential
-        # demotion keeps a raise from leaving sibling lanes half-mapped.
+        # A strict lane may raise MappingError mid-round; running it
+        # alone keeps a raise from leaving sibling lanes half-mapped.
         return "strict mapper"
     if lane.state.num_cores != ref.state.num_cores:
         return "mixed core counts"
@@ -123,18 +123,17 @@ def unstackable_reason(lane: MapperLane, ref: MapperLane) -> str | None:
 class _LaneRun:
     """Mutable per-lane mapping state threaded through the rounds.
 
-    The constructor replicates ``map_threads``'s preamble — argument
+    The constructor is the mapping pass's preamble: argument
     validation, warm-start temperatures, the running frequency/activity/
     duty vectors seeded from already-placed threads, the stiffest-first
-    order, the incremental sibling map — op for op.
+    order, and the incremental sibling map.
     """
 
     __slots__ = (
         "mapper", "state", "n", "fmax", "health_now", "elapsed",
         "temps", "freq", "activity", "duties", "powered", "assignment",
         "order", "pos", "comm", "unmapped", "leak_scale",
-        "thread_index", "thread", "candidates", "keep", "temps_b",
-        "seed_counts",
+        "thread_index", "thread", "candidates", "seed_counts",
     )
 
     def __init__(self, lane: MapperLane):
@@ -185,9 +184,8 @@ class _LaneRun:
         """Advance to this lane's next placeable thread.
 
         Skips already-placed threads and records infeasible ones as
-        unmapped (strict lanes never reach a group, so the sequential
-        path's ``MappingError`` cannot arise here).  Returns False once
-        the lane's order is exhausted.
+        unmapped; a strict lane raises :class:`MappingError` instead.
+        Returns False once the lane's order is exhausted.
         """
         state = self.state
         while self.pos < len(self.order):
@@ -200,6 +198,11 @@ class _LaneRun:
             feasible = idle & (self.fmax >= thread.fmin_ghz)
             candidates = np.flatnonzero(feasible)
             if candidates.size == 0:
+                if self.mapper.strict:
+                    raise MappingError(
+                        f"no feasible core for {thread.thread_id} "
+                        f"(fmin {thread.fmin_ghz:.2f} GHz)"
+                    )
                 self.unmapped.append(thread_index)
                 continue
             self.thread_index = thread_index
@@ -214,46 +217,34 @@ def map_threads_batch(
 ) -> list[list[int]]:
     """Map every lane's threads; returns each lane's unmapped indices.
 
-    ``results[i]`` is bit-identical to what
-    ``lanes[i].mapper.map_threads(...)`` returns — including every
-    placement and frequency written into ``lanes[i].state`` — whether
-    the lane rode the stacked group or was demoted to the sequential
-    path.
+    Every lane that can share the first non-strict lane's stacked
+    kernels maps in one lockstep group; each other lane runs as its own
+    one-lane group.  ``results[i]`` — and every placement and frequency
+    written into ``lanes[i].state`` — is what ``lanes[i].mapper.
+    map_threads(...)`` would produce.
     """
     lanes = list(lanes)
-    results: list[list[int] | None] = [None] * len(lanes)
-
-    # Group every lane that can share the first groupable lane's
-    # stacked kernels; the rest run sequentially below.
     group: list[int] = []
+    alone: list[int] = []
     ref: MapperLane | None = None
     for i, lane in enumerate(lanes):
-        if ref is None:
-            if lane.mapper.strict:
-                continue
+        if ref is None and not lane.mapper.strict:
             ref = lane
             group.append(i)
-        elif unstackable_reason(lane, ref) is None:
+        elif ref is not None and unstackable_reason(lane, ref) is None:
             group.append(i)
+        else:
+            alone.append(i)
 
     if len(group) >= 2:
         get_registry().inc("sim.decision_batched_lanes", len(group))
-        runs = [_LaneRun(lanes[i]) for i in group]
+    results: list[list[int]] = [[] for _ in lanes]
+    for members in ([group] if group else []) + [[i] for i in alone]:
+        runs = [_LaneRun(lanes[i]) for i in members]
         _map_group(runs, epoch_years)
-        for i, run in zip(group, runs):
+        for i, run in zip(members, runs):
             results[i] = run.unmapped
-
-    for i, lane in enumerate(lanes):
-        if results[i] is None:
-            results[i] = lane.mapper.map_threads(
-                lane.state,
-                lane.fmax_now_ghz,
-                lane.health_now,
-                epoch_years,
-                lane.elapsed_years,
-                initial_temps_k=lane.initial_temps_k,
-            )
-    return results  # type: ignore[return-value]
+    return results
 
 
 def _map_group(runs: list[_LaneRun], epoch_years: float) -> None:
@@ -261,9 +252,12 @@ def _map_group(runs: list[_LaneRun], epoch_years: float) -> None:
     n = runs[0].n
     est0 = runs[0].mapper.estimator
     predictor0 = est0.predictor
-    # Delta-candidate engagement mirrors the sequential mapper's guard:
-    # plain predictor/estimator semantics only (the group already
-    # shares est0/predictor0 through unstackable_reason).
+    # Delta-candidate engagement requires plain predictor/estimator
+    # semantics (subclasses keep the dense path they define; the group
+    # already shares est0/predictor0 through unstackable_reason).  The
+    # evaluator solves the incumbent placement once per round and
+    # reconstructs each candidate's temperatures from its rank-1 power
+    # change; the base row's crossing counts seed the aging-table walk.
     opts = current_delta_options()
     evaluator = (
         DeltaEvaluator(predictor0)
@@ -294,10 +288,10 @@ def _map_group(runs: list[_LaneRun], epoch_years: float) -> None:
             # the commit loop below keeps the stacks in sync with each
             # lane's running vectors between rebuilds.
             lane_idx = np.arange(len(active))
-            freq_l = np.stack([run.freq for run in active])
-            act_l = np.stack([run.activity for run in active])
-            on_l = np.stack([run.powered for run in active])
-            scale_l = np.stack(
+            freq_l = np.array([run.freq for run in active])
+            act_l = np.array([run.activity for run in active])
+            on_l = np.array([run.powered for run in active])
+            scale_l = np.array(
                 [
                     np.broadcast_to(
                         np.asarray(run.leak_scale, dtype=float), (n,)
@@ -305,23 +299,25 @@ def _map_group(runs: list[_LaneRun], epoch_years: float) -> None:
                     for run in active
                 ]
             )
-            duties_l = np.stack([run.duties for run in active])
-            health_l = np.stack([run.health_now for run in active])
-            temps_l = np.stack([run.temps for run in active])
-            fmax_l = np.stack([run.fmax for run in active])
+            duties_l = np.array([run.duties for run in active])
+            health_l = np.array([run.health_now for run in active])
+            temps_l = np.array([run.temps for run in active])
+            fmax_l = np.array([run.fmax for run in active])
             tsafe_l = np.array([run.mapper.tsafe_k for run in active])
             if batched_scoring:
-                coeffs = [
-                    run.mapper.weighting.config.coefficients(run.elapsed)
-                    for run in active
-                ]
-                alpha_l = np.array([a for a, _ in coeffs])
-                beta_l = np.array([b for _, b in coeffs])
-                wmax_l = np.array(
-                    [run.mapper.weighting.config.wmax for run in active]
-                )
-                coeff_l = np.array(
-                    [run.mapper.chip_health_coeff * n for run in active]
+                # One row of Eq. 9 scalars per lane: (alpha, beta, wmax,
+                # chip-health coefficient).
+                score_l = np.array(
+                    [
+                        (
+                            *run.mapper.weighting.config.coefficients(
+                                run.elapsed
+                            ),
+                            run.mapper.weighting.config.wmax,
+                            run.mapper.chip_health_coeff * n,
+                        )
+                        for run in active
+                    ]
                 )
             stacked_for = active
 
@@ -334,20 +330,24 @@ def _map_group(runs: list[_LaneRun], epoch_years: float) -> None:
         # dense path stacks the full candidate matrices.
         counts = np.array([run.candidates.size for run in active])
         total = int(counts.sum())
-        offsets = np.concatenate(([0], np.cumsum(counts[:-1])))
+        offsets = np.cumsum(counts) - counts
         row_lane = np.repeat(lane_idx, counts)
         rows = np.arange(total)
         cand_cols = np.concatenate([run.candidates for run in active])
-        fmin_vec = np.array([run.thread.fmin_ghz for run in active])
-        mact_vec = np.array([run.thread.mean_activity for run in active])
-        duty_vec = np.array([run.thread.duty_cycle for run in active])
+        fmin_vec, mact_vec, duty_vec = np.array(
+            [
+                (run.thread.fmin_ghz, run.thread.mean_activity,
+                 run.thread.duty_cycle)
+                for run in active
+            ]
+        ).T
         duty_all = duties_l[row_lane]
         duty_all[rows, cand_cols] = duty_vec[row_lane]
 
         seed_lanes = None
-        # Cost gate mirroring the sequential mapper's: the stacked base
-        # solve pays for itself only when the dense work it replaces
-        # (total candidate rows x n) is large enough.
+        # Cost gate: the stacked base solve pays for itself only when
+        # the dense work it replaces (total candidate rows x n) is large
+        # enough; small rounds stay on the dense kernels.
         if evaluator is not None and total * n >= opts.min_dense_rows:
             with obs.timer("sim.delta_eval"):
                 new_dyn = dynamic.power_w(fmin_vec, mact_vec)[row_lane]
@@ -380,7 +380,7 @@ def _map_group(runs: list[_LaneRun], epoch_years: float) -> None:
                     if missing:
                         for row, li in enumerate(missing):
                             active[li].seed_counts = fresh[row]
-                    seed_lanes = np.stack(
+                    seed_lanes = np.array(
                         [run.seed_counts for run in active]
                     )
             obs.inc("sim.delta_rounds")
@@ -402,31 +402,31 @@ def _map_group(runs: list[_LaneRun], epoch_years: float) -> None:
         # the surviving rows (each row carrying its lane's health).
         tmax_all = temps_all.max(axis=1)
         ok_all = tmax_all <= tsafe_l[row_lane]
-        kept_counts = np.empty(len(active), dtype=np.intp)
-        keep_parts: list[np.ndarray] = []
-        for li, (run, off) in enumerate(zip(active, offsets)):
-            batch = int(counts[li])
-            thermally_ok = ok_all[off : off + batch]
-            if thermally_ok.all():
-                keep = np.arange(batch)
-            elif thermally_ok.any():
-                keep = np.flatnonzero(thermally_ok)
-            else:
-                # Every placement overshoots; take the least-bad one
-                # (the sequential path's naive-optimization fallback).
-                keep = np.array(
-                    [int(np.argmin(tmax_all[off : off + batch]))]
-                )
-            run.keep = keep
-            run.temps_b = temps_all[off : off + batch]
-            keep_parts.append(off + keep)
-            kept_counts[li] = keep.size
-
-        keep_global = np.concatenate(keep_parts)
-        kept_lane = np.repeat(lane_idx, kept_counts)
-        kept_offsets = np.concatenate(([0], np.cumsum(kept_counts[:-1])))
-        temps_kept = temps_all[keep_global]
-        duty_kept = duty_all[keep_global]
+        if ok_all.all():
+            # Common case: nothing to discard, so skip the fancy-indexed
+            # row copies (same rows, same values).
+            keep_global = rows
+            kept_lane, kept_counts, kept_offsets = row_lane, counts, offsets
+            temps_kept, duty_kept = temps_all, duty_all
+        else:
+            keep_parts: list[np.ndarray] = []
+            for off, batch in zip(offsets, counts):
+                thermally_ok = ok_all[off : off + batch]
+                if thermally_ok.any():
+                    keep_parts.append(off + np.flatnonzero(thermally_ok))
+                else:
+                    # Every placement overshoots; take the least-bad one
+                    # and let DTM handle the consequences (the paper's
+                    # naive-optimization fallback).
+                    keep_parts.append(
+                        [off + int(np.argmin(tmax_all[off : off + batch]))]
+                    )
+            keep_global = np.concatenate(keep_parts)
+            kept_counts = np.array([len(part) for part in keep_parts])
+            kept_lane = np.repeat(lane_idx, kept_counts)
+            kept_offsets = np.cumsum(kept_counts) - kept_counts
+            temps_kept = temps_all[keep_global]
+            duty_kept = duty_all[keep_global]
         health_rows = health_l[kept_lane]
         seed_rows = seed_lanes[kept_lane] if seed_lanes is not None else None
 
@@ -444,27 +444,23 @@ def _map_group(runs: list[_LaneRun], epoch_years: float) -> None:
             ktotal = keep_global.size
             h_next = health_all[np.arange(ktotal), kept_cores_all]
             h_now = health_l[kept_lane, kept_cores_all]
+            alpha, beta, wmax, coeff = score_l[kept_lane].T
             gap = fmax_l[kept_lane, kept_cores_all] - fmin_vec[kept_lane]
             raw = np.full(ktotal, np.inf)
-            np.divide(
-                alpha_l[kept_lane],
-                np.maximum(gap, 1e-12),
-                out=raw,
-                where=gap > 0,
-            )
+            np.divide(alpha, np.maximum(gap, 1e-12), out=raw, where=gap > 0)
             # Nonpositive health raises per lane in the commit loop
-            # below (matching the sequential order); silence the sweep's
-            # speculative divide for that pathological case.
+            # below (as WeightingFunction.weight raises); silence the
+            # sweep's speculative divide for that pathological case.
             with np.errstate(divide="ignore", invalid="ignore"):
                 weights_all = (
-                    np.minimum(wmax_l[kept_lane], raw)
-                    + beta_l[kept_lane] * h_next / h_now
-                    + coeff_l[kept_lane] * health_all.mean(axis=1)
+                    np.minimum(wmax, raw)
+                    + beta * h_next / h_now
+                    + coeff * health_all.mean(axis=1)
                 )
 
         # The winner commit and the carried-forward running vectors
-        # stay per lane — map_threads's exact expressions — and mirror
-        # every write into the persistent lane stacks.
+        # stay per lane and mirror every write into the persistent lane
+        # stacks.
         for li, (run, koff) in enumerate(zip(active, kept_offsets)):
             mapper = run.mapper
             thread = run.thread
@@ -499,7 +495,7 @@ def _map_group(runs: list[_LaneRun], epoch_years: float) -> None:
             run.freq[core] = thread.fmin_ghz
             run.activity[core] = thread.mean_activity
             run.duties[core] = thread.duty_cycle
-            run.temps = run.temps_b[run.keep[winner]]
+            run.temps = temps_all[keep_global[koff + winner]]
             freq_l[li, core] = thread.fmin_ghz
             act_l[li, core] = thread.mean_activity
             duties_l[li, core] = thread.duty_cycle

@@ -48,12 +48,12 @@ class DTMPolicy:
         for thermal safety.
     """
 
-    #: Contract flag for the fused window engine: ``True`` means
+    #: Contract flag for compiled window segments: ``True`` means
     #: :meth:`enforce` mutates state *only* when :meth:`would_act`
     #: returns ``True``, so quiet steps may skip the enforcement pass
     #: entirely.  Policies that can act without a measured trigger
     #: (e.g. prediction-driven preemption) must override this to
-    #: ``False`` to force the step-by-step path.
+    #: ``False`` to force the step-by-step window body.
     supports_fused_windows = True
 
     def __init__(
@@ -130,9 +130,9 @@ class DTMPolicy:
         """Whether :meth:`enforce` would mutate state for these readings.
 
         True iff a throttled core has cooled below the headroom band
-        (recovery) or a busy core exceeds ``Tsafe`` (violation).  The
-        fused window engine uses this contract to skip enforcement on
-        quiet steps; see :attr:`supports_fused_windows`.
+        (recovery) or a busy core exceeds ``Tsafe`` (violation).
+        Compiled window segments use this contract to skip enforcement
+        on quiet steps; see :attr:`supports_fused_windows`.
         """
         throttled = state.throttled_view
         if throttled.any() and bool(

@@ -32,8 +32,8 @@ class ProactiveDTMPolicy(DTMPolicy):
     """
 
     #: Preemption can migrate threads even when no measured reading
-    #: crosses a trigger, so quiet steps cannot be skipped: the fused
-    #: window engine falls back to the step-by-step path.
+    #: crosses a trigger, so quiet steps cannot be skipped: every lane
+    #: runs the step-by-step window body.
     supports_fused_windows = False
 
     def __init__(

@@ -99,7 +99,7 @@ class ChipState:
         #: per-call scan of the assignment vector.
         self._thread_core = np.full(len(self.threads), -1, dtype=int)
         #: Monotonic mutation counter.  Consumers that derive state from
-        #: this object (the fused window engine's compiled timelines)
+        #: this object (the compiled window timelines)
         #: compare it against the version they compiled at and rebuild
         #: when it moved — dirty tracking without callbacks.
         self._version = 0

@@ -126,7 +126,7 @@ class PowerModel:
 
         ``leakage_scale`` overrides this model's own per-core
         multipliers — pass a ``(batch, num_cores)`` matrix when the rows
-        belong to *different* chips (the batched population engine's
+        belong to *different* chips (the lockstep lifetime engine's
         case, where each chip carries its own manufacturing variation
         but shares the dynamic/leakage parameters).  The scales
         broadcast elementwise through the leakage model, so row ``b``

@@ -12,7 +12,6 @@ from repro.sim.config import SimulationConfig
 from repro.sim.context import ChipContext
 from repro.sim.results import EpochRecord, LifetimeResult
 from repro.sim.simulator import LifetimeSimulator
-from repro.sim.batch import BatchLifetimeSimulator
 from repro.sim.campaign import CampaignResult, run_campaign
 from repro.sim.checkpoint import CampaignCheckpoint, campaign_digest, job_key
 from repro.sim.supervisor import CampaignJobError, JobFailure
@@ -34,7 +33,6 @@ __all__ = [
     "load_scenario",
     "run_scenario",
     "sweep_dark_fractions",
-    "BatchLifetimeSimulator",
     "ChipContext",
     "EpochRecord",
     "LifetimeResult",

@@ -218,7 +218,7 @@ def _resolve_batch_size(batch_size, population, workers: int) -> int | None:
     enough to amortize the stacked solves, small enough that ``workers``
     processes still all get units (``min(32, ceil(group / workers))``).
     A resolved size below 2 means there is nothing worth stacking, so
-    auto falls back to the per-chip path.
+    auto runs one chip per unit.
     """
     if batch_size is None:
         return None
@@ -310,13 +310,14 @@ def run_campaign(
         aggregates bit-identical to an uninterrupted run.  Failed jobs
         are never checkpointed, so a resume retries them.
     batch_size:
-        Chips per dispatch unit for the batched population engine
-        (:class:`~repro.sim.batch.BatchLifetimeSimulator`).  ``None``
-        (the default) keeps the per-chip path; an ``int >= 1`` batches
-        that many same-policy, same-floorplan chips per unit;
-        ``"auto"`` picks ``min(32, ceil(largest_group / workers))`` and
-        falls back to per-chip when that leaves nothing to batch.
-        Results are bit-identical to the per-chip path either way, and
+        Chips per dispatch unit, which the lifetime engine advances as
+        one lockstep group
+        (:meth:`~repro.sim.simulator.LifetimeSimulator.run_batch`).
+        ``None`` (the default) and ``1`` run one chip per unit; an
+        ``int >= 2`` groups that many same-policy, same-floorplan chips
+        per unit; ``"auto"`` picks ``min(32, ceil(largest_group /
+        workers))``, one chip per unit when that leaves nothing to
+        group.  Results are bit-identical whatever the size, and
         checkpoints stay per-chip (a resume may re-group survivors into
         different batches without changing any result).  Batch sizing
         is deliberately *not* part of the campaign digest.

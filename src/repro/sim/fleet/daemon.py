@@ -201,6 +201,16 @@ class FleetRequest:
         retries = int(data.get("retries", 0))
         if retries < 0:
             raise ValueError("retries must be >= 0")
+        batch_size = data.get("batch_size", "auto")
+        if batch_size not in ("auto", None) and (
+            isinstance(batch_size, bool)
+            or not isinstance(batch_size, int)
+            or batch_size < 1
+        ):
+            raise ValueError(
+                f"batch_size must be 'auto', null, or an int >= 1, "
+                f"got {batch_size!r}"
+            )
         request_id = data.get("request_id") or request_digest(data)
         return cls(
             request_id=str(request_id),
@@ -211,7 +221,7 @@ class FleetRequest:
             config=config,
             requirement_ghz=float(data.get("requirement_ghz", 1.0)),
             baseline=baseline,
-            batch_size=data.get("batch_size", "auto"),
+            batch_size=batch_size,
             retries=retries,
             allow_partial=bool(data.get("allow_partial", True)),
             raw=dict(data),
@@ -592,16 +602,9 @@ class FleetDaemon:
 def _resolve_request_batch(batch_size):
     """Map a request's batch knob onto the supervisor's (int or None).
 
-    Requests say ``"auto"`` (default), ``null``, or an int; the
-    supervisor wants an int or ``None``.  Auto in the daemon is a flat
-    cap — the per-request population is small and grouping happens in
-    :func:`~repro.sim.supervisor._form_units` anyway.
+    Requests say ``"auto"`` (default), ``null``, or an int >= 1
+    (validated by :meth:`FleetRequest.from_dict`).  Auto in the daemon
+    is a flat cap — the per-request population is small and grouping
+    happens in :func:`~repro.sim.supervisor._form_units` anyway.
     """
-    if batch_size is None:
-        return None
-    if batch_size == "auto":
-        return 8
-    size = int(batch_size)
-    if size < 1:
-        raise ValueError("batch_size must be >= 1, 'auto', or null")
-    return size
+    return 8 if batch_size == "auto" else batch_size

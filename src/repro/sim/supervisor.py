@@ -27,8 +27,10 @@ hung job: requesting ``job_timeout_s`` routes even ``workers=1``
 campaigns through a one-process pool so the timeout is enforceable).
 
 With ``batch_size`` set, jobs sharing one (policy, floorplan) are
-grouped into *units* that run through the batched population engine
-(:class:`~repro.sim.batch.BatchLifetimeSimulator`).  A unit is the
+grouped into *units* of up to that many chips, which the lifetime
+engine advances as one lockstep group
+(:meth:`~repro.sim.simulator.LifetimeSimulator.run_batch`); without it
+every job is a one-chip unit.  A unit is the
 retry/deadline/checkpoint dispatch grain: one attempt simulates the
 whole batch, one deadline covers it, and its per-chip results are still
 checkpointed under their individual job keys (the unit's metrics
@@ -74,7 +76,6 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.obs import MetricsRegistry, get_registry, use_registry
-from repro.sim.batch import BatchLifetimeSimulator
 from repro.sim.checkpoint import CampaignCheckpoint, job_key
 from repro.sim.context import ChipContext
 from repro.sim.results import LifetimeResult
@@ -149,64 +150,29 @@ def _install_campaign(campaign: dict) -> None:
             warm_thermal_cache(floorplan, dt_s=dt_s)
 
 
-def _run_one(job):
-    """Worker entry: one (policy, chip) lifetime.  Module-level so it
-    pickles for multiprocessing; the shared table/config/knobs come from
-    :data:`_SHARED`, not the job tuple.
-
-    Returns ``(LifetimeResult, MetricsSnapshot | None)``.  In the plain
-    serial path metrics flow straight into the caller's registry and the
-    snapshot is ``None``.  A fresh per-job registry is used instead —
-    and its picklable snapshot returned for the caller to merge — in a
-    spawn worker (whose process-global registry is the no-op default)
-    and whenever the supervisor asked for isolated metrics
-    (``_SHARED["isolate_metrics"]``): checkpointing needs the per-job
-    snapshot to store, and retrying needs a failed attempt's partial
-    metrics discarded rather than double-counted.  Merging the per-job
-    snapshots reproduces direct accumulation exactly, so all paths
-    aggregate identically.
-    """
-    policy, chip = job
-    table = _SHARED["table"]
-    config = _SHARED["config"]
-    registry = get_registry()
-    fresh = _SHARED["collect"] and (
-        not registry.enabled or _SHARED.get("isolate_metrics", False)
-    )
-    if fresh:
-        registry = MetricsRegistry(trace=_SHARED["tracing"])
-    with use_registry(registry):
-        with registry.timer(
-            "campaign.run", policy=policy.name, chip=chip.chip_id
-        ):
-            ctx = ChipContext(
-                chip, table, dark_fraction_min=config.dark_fraction_min
-            )
-            simulator = LifetimeSimulator(
-                config, dtm=_SHARED["dtm"], mix_factory=_SHARED["mix_factory"]
-            )
-            result = simulator.run(ctx, policy)
-    registry.inc("campaign.runs")
-    return result, (registry.snapshot() if fresh else None)
-
-
 def _run_unit(jobs):
     """Worker entry: one dispatch unit (one or many same-policy jobs).
+    Module-level so it pickles for multiprocessing; the shared
+    table/config/knobs come from :data:`_SHARED`, not the job tuples.
 
-    A singleton unit runs through :func:`_run_one` unchanged — same
-    ``campaign.run`` timer, same counters — so unbatched campaigns are
-    byte-for-byte the pre-batching code path.  A multi-chip unit builds
-    one context per chip and hands them to
-    :class:`~repro.sim.batch.BatchLifetimeSimulator` under a single
-    ``campaign.batch`` timer; ``campaign.runs`` still counts chips, not
+    Builds one context per chip and runs them through
+    :meth:`~repro.sim.simulator.LifetimeSimulator.run_batch` under one
+    ``campaign.run`` timer; ``campaign.runs`` counts chips, not
     dispatches.
 
     Returns ``(list[LifetimeResult], MetricsSnapshot | None)`` with
-    results aligned to ``jobs``.
+    results aligned to ``jobs``.  In the plain serial path metrics flow
+    straight into the caller's registry and the snapshot is ``None``.
+    A fresh per-unit registry is used instead — and its picklable
+    snapshot returned for the caller to merge — in a spawn worker
+    (whose process-global registry is the no-op default) and whenever
+    the supervisor asked for isolated metrics
+    (``_SHARED["isolate_metrics"]``): checkpointing needs the snapshot
+    to store, and retrying needs a failed attempt's partial metrics
+    discarded rather than double-counted.  Merging the snapshots
+    reproduces direct accumulation exactly, so all paths aggregate
+    identically.
     """
-    if len(jobs) == 1:
-        result, snapshot = _run_one(jobs[0])
-        return [result], snapshot
     policy = jobs[0][0]
     table = _SHARED["table"]
     config = _SHARED["config"]
@@ -217,19 +183,17 @@ def _run_unit(jobs):
     if fresh:
         registry = MetricsRegistry(trace=_SHARED["tracing"])
     with use_registry(registry):
-        with registry.timer(
-            "campaign.batch", policy=policy.name, chips=len(jobs)
-        ):
+        with registry.timer("campaign.run", policy=policy.name, chips=len(jobs)):
             ctxs = [
                 ChipContext(
                     chip, table, dark_fraction_min=config.dark_fraction_min
                 )
                 for _, chip in jobs
             ]
-            simulator = BatchLifetimeSimulator(
+            simulator = LifetimeSimulator(
                 config, dtm=_SHARED["dtm"], mix_factory=_SHARED["mix_factory"]
             )
-            results = simulator.run(ctxs, policy)
+            results = simulator.run_batch(ctxs, policy)
     registry.inc("campaign.runs", len(jobs))
     return results, (registry.snapshot() if fresh else None)
 
@@ -413,7 +377,7 @@ def _form_units(pairs, batch_size) -> list[_UnitState]:
 
     Without batching every job is its own unit, in order.  With
     ``batch_size`` set, jobs are grouped by (policy identity, floorplan
-    signature) — the axes the batched engine requires to agree — with
+    signature) — the axes a lockstep group requires to agree — with
     the original job order preserved inside each group, then chunked.
     Units are dispatched in first-job order.
     """
@@ -455,8 +419,8 @@ def run_supervised_jobs(
     Returns results aligned index-for-index with ``jobs`` plus the list
     of failures (empty unless ``allow_partial`` let some through).  See
     the module docstring for the semantics of each knob;
-    ``batch_size=None`` (the default) dispatches per-chip singleton
-    units exactly as before batching existed.
+    ``batch_size=None`` (the default) and ``1`` both dispatch one-chip
+    units.
 
     ``pool_host`` lends a caller-owned :class:`WorkerPoolHost` (already
     ``ensure``-provisioned with this campaign's ``shared``) to the

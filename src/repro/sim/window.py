@@ -1,42 +1,27 @@
-"""Vectorized epoch-window engine: compiled timelines + fused segments.
+"""Compiled window timelines: the quiet regime of the transient window.
 
 The fine-grained transient window of :class:`~repro.sim.simulator.
 LifetimeSimulator` spends the overwhelming majority of its steps in the
 quiet regime — no application arrives or departs, no core approaches the
-DTM trigger band, and the mapping is static.  The unfused loop still
-pays full price per step: Python loops over threads for activity, duty
-and IPS, fresh array copies for every ``ChipState`` property read, and a
-complete ``DTMPolicy.enforce`` pass that ends up doing nothing.
+DTM trigger band, and the mapping is static.  The step-by-step body
+still pays full price per step: Python loops over threads for activity,
+duty and IPS, fresh array copies for every ``ChipState`` property read,
+and a complete ``DTMPolicy.enforce`` pass that ends up doing nothing.
 
-This module compiles that quiet regime away while preserving *bit
-identity* with the step-by-step path:
-
-* :func:`compile_segment` turns the mapped threads' phase traces into a
-  dense ``(steps, num_cores)`` dynamic-power matrix plus constant duty
-  and IPS addends for a span of steps during which placement cannot
-  change (no arrival/departure step inside, DTM quiet).  Trace
-  extension replays the exact shared-RNG draw order of the per-step
-  loop (see :func:`_extend_in_step_order`), so the streams stay
-  bit-identical; when a mid-segment migration invalidates the core
-  order the speculative draws assumed, :func:`rewind_unexecuted_draws`
-  rolls the streams back to the executed prefix.
-* :class:`FusedWindowEngine` runs such a segment through
-  :meth:`~repro.thermal.rcnet.TransientIntegrator.run_segment` — the
-  same backward-Euler matvec sequence — evaluating leakage with the
-  identical IEEE op order the :class:`~repro.power.model.PowerModel`
-  uses, and breaks out the moment any sensor reading crosses the DTM
-  trigger band (a busy core above ``tsafe_k``) or a throttled core
-  cools past recovery (below ``tsafe_k - headroom_k``).  On every other
-  step, ``enforce`` provably would not act (see
-  :meth:`~repro.dtm.policy.DTMPolicy.would_act`), so skipping it
-  changes nothing.
-
-The engine is only eligible when the power model is the stock
-:class:`~repro.power.model.PowerModel` stack (a subclass could override
-the op sequence the compiled path replicates) and the DTM policy
-declares :attr:`~repro.dtm.policy.DTMPolicy.supports_fused_windows`.
-Progress is observable through the ``sim.fused_steps``,
-``sim.segment_breaks`` and ``sim.timeline_compiles`` counters.
+:func:`compile_segment` compiles that quiet regime away while
+preserving *bit identity* with the step-by-step body: it turns the
+mapped threads' phase traces into a dense ``(steps, num_cores)``
+dynamic-power matrix plus constant duty and IPS addends for a span of
+steps during which placement cannot change (no arrival/departure step
+inside, DTM quiet).  Trace extension replays the exact shared-RNG draw
+order of the per-step loop (see :func:`_extend_in_step_order`), so the
+streams stay bit-identical; when a mid-segment migration invalidates
+the core order the speculative draws assumed,
+:func:`rewind_unexecuted_draws` rolls the streams back to the executed
+prefix.  The simulator's lockstep window runs the compiled segments and
+breaks them where DTM can act.  Progress is observable through the
+``sim.fused_steps``, ``sim.segment_breaks`` and
+``sim.timeline_compiles`` counters.
 """
 
 from __future__ import annotations
@@ -47,14 +32,10 @@ import numpy as np
 
 from repro.mapping.state import ChipState
 from repro.obs import get_registry
-from repro.power.dynamic import DynamicPowerModel
-from repro.power.leakage import REFERENCE_TEMP_K, LeakageModel
 from repro.power.model import PowerModel
-from repro.thermal.rcnet import TransientIntegrator
 from repro.workload.traces import PhaseTrace
 
 __all__ = [
-    "FusedWindowEngine",
     "SEGMENT_CHUNK_STEPS",
     "WindowStats",
     "compile_segment",
@@ -71,11 +52,11 @@ SEGMENT_CHUNK_STEPS = 128
 
 @dataclass
 class WindowStats:
-    """Mutable per-window accumulators shared by both window paths.
+    """Mutable per-window accumulators of one lane.
 
-    Field update expressions are kept identical between the fused and
-    unfused paths, so where the values live does not affect bit
-    identity.
+    Field update expressions are kept identical between the compiled
+    and step-by-step bodies, so which body ran a step does not affect
+    bit identity.
     """
 
     worst: np.ndarray
@@ -238,114 +219,3 @@ def compile_segment(
         rng_states=rng_states,
         phase_marks=phase_marks,
     )
-
-
-class FusedWindowEngine:
-    """Runs compiled segments through the transient integrator.
-
-    Parameters
-    ----------
-    power_model:
-        The chip's power model; must be the stock model stack for the
-        compiled op sequences to be provably bit-identical.
-    integrator:
-        The window's transient integrator.
-    dtm:
-        The enforcement policy; supplies the trigger band and the
-        :attr:`~repro.dtm.policy.DTMPolicy.supports_fused_windows`
-        contract.
-    """
-
-    def __init__(
-        self,
-        power_model: PowerModel,
-        integrator: TransientIntegrator,
-        dtm,
-    ):
-        self.power_model = power_model
-        self.integrator = integrator
-        self.supported = bool(
-            getattr(dtm, "supports_fused_windows", False)
-            and type(power_model) is PowerModel
-            and type(power_model.dynamic) is DynamicPowerModel
-            and type(power_model.leakage) is LeakageModel
-            and type(integrator) is TransientIntegrator
-        )
-        leakage = power_model.leakage
-        # (nominal * scale) hoisted: the left-to-right product
-        # PowerModel.evaluate computes per step, minus the per-step
-        # temperature factor.
-        self._nominal_scaled = leakage.nominal_w * power_model.leakage_scale
-        self._gated_w = leakage.gated_w
-        self._beta_per_k = leakage.beta_per_k
-        self._fit_limit_k = leakage.fit_limit_k
-        self._tsafe_k = dtm.tsafe_k
-        self._target_limit_k = dtm.target_limit_k
-        self._obs = get_registry()
-
-    def run_segment(
-        self,
-        state: ChipState,
-        temps_all_nodes: np.ndarray,
-        segment: CompiledSegment,
-        stats: WindowStats,
-        read_temps,
-    ) -> tuple[np.ndarray, int, np.ndarray | None]:
-        """Advance through a compiled segment, breaking when DTM can act.
-
-        Returns ``(temps_all_nodes, steps_done, break_readings)`` where
-        ``break_readings`` is the sensor vector of the step that
-        tripped the trigger band (``None`` when the segment completed
-        quietly).  Stats are accumulated per step with the unfused
-        loop's exact expressions; the duty/IPS addends of a breaking
-        step are *not* accumulated here — the caller adds them after
-        running ``enforce``, matching the unfused ordering.
-        """
-        powered = state.powered_view
-        dyn = segment.dyn_power_w
-        busy = segment.busy
-        throttled_idx = segment.throttled_idx
-        check_recovery = throttled_idx.size > 0
-        duty_step = segment.duty_step
-        ips_total = segment.ips_total
-        nominal_scaled = self._nominal_scaled
-        gated_w = self._gated_w
-        beta = self._beta_per_k
-        fit_limit = self._fit_limit_k
-        tsafe = self._tsafe_k
-        target_limit = self._target_limit_k
-        break_readings: list[np.ndarray] = []
-
-        def core_power(i: int, core_temps: np.ndarray) -> np.ndarray:
-            # LeakageModel.power_w's op order with constants hoisted:
-            # ((nominal * scale) * exp(beta * (min(T, limit) - ref))).
-            factor = np.exp(
-                beta * (np.minimum(core_temps, fit_limit) - REFERENCE_TEMP_K)
-            )
-            leak = np.where(powered, nominal_scaled * factor, gated_w)
-            return dyn[i] + leak
-
-        def on_step(i: int, core_temps: np.ndarray) -> bool:
-            readings = read_temps(core_temps)
-            stats.worst = np.maximum(stats.worst, core_temps)
-            stats.temp_sum += float(core_temps.mean())
-            stats.peak = max(stats.peak, float(core_temps.max()))
-            stats.tsafe_violations += int((core_temps > tsafe).sum())
-            trip = bool((readings[busy] > tsafe).any())
-            if not trip and check_recovery:
-                trip = bool((readings[throttled_idx] < target_limit).any())
-            if trip:
-                break_readings.append(readings)
-                return True
-            stats.duty_accum += duty_step
-            stats.ips_sum += ips_total
-            return False
-
-        temps_all_nodes, done = self.integrator.run_segment(
-            temps_all_nodes, segment.num_steps, core_power, on_step
-        )
-        self._obs.inc("sim.fused_steps", done)
-        if break_readings:
-            self._obs.inc("sim.segment_breaks")
-            return temps_all_nodes, done, break_readings[0]
-        return temps_all_nodes, done, None

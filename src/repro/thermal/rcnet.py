@@ -331,47 +331,6 @@ class TransientIntegrator:
             temps = self._advance(temps, p)
         return temps
 
-    def run_segment(
-        self,
-        temps_all_nodes: np.ndarray,
-        num_steps: int,
-        core_power_fn,
-        on_step=None,
-    ) -> tuple[np.ndarray, int]:
-        """Advance up to ``num_steps`` with per-step power evaluation.
-
-        ``core_power_fn(i, core_temps)`` supplies the per-core power for
-        step ``i`` from the *pre-step* junction temperatures;
-        ``on_step(i, core_temps)`` observes the *post-step* junction
-        temperatures and may return ``True`` to stop the segment after
-        that step.  The matvec sequence per step is exactly
-        :meth:`step`'s, so temperatures are bit-identical to calling it
-        in a loop; the power vector is trusted (no non-negativity
-        validation) and ``thermal.transient_steps`` is incremented once
-        by the number of steps actually executed.
-
-        Returns ``(temps_all_nodes, steps_done)``.
-        """
-        if num_steps < 0:
-            raise ValueError("num_steps must be >= 0")
-        temps = np.asarray(temps_all_nodes, dtype=float)
-        if temps.shape != (self.network.num_nodes,):
-            raise ValueError("temps_all_nodes has wrong shape")
-        n = self.network.num_cores
-        p = self._p_buf
-        base = self.network._entry.node_power_base
-        done = 0
-        for i in range(num_steps):
-            core_power = core_power_fn(i, temps[:n])
-            np.copyto(p, base)
-            p[:n] = core_power
-            temps = self._advance(temps, p)
-            done += 1
-            if on_step is not None and on_step(i, temps[:n]):
-                break
-        get_registry().inc("thermal.transient_steps", done)
-        return temps, done
-
     def step_batch(
         self, temps_all_nodes: np.ndarray, node_power_w: np.ndarray
     ) -> np.ndarray:
@@ -384,7 +343,7 @@ class TransientIntegrator:
         back), so every column is bit-identical to stepping that chip
         alone; the columns merely share the factorized solve.  The
         power columns are full node-power vectors (base already folded
-        in) and are trusted, mirroring :meth:`run_segment`.
+        in) and are trusted (no non-negativity validation).
 
         Returns the new ``(num_nodes, batch)`` temperatures.
         """

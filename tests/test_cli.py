@@ -140,9 +140,22 @@ class TestParser:
             main(["campaign", "--no-walk-dedup"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["campaign", "--no-batch"],
+            ["campaign", "--no-batch-decision"],
+            ["simulate", "--no-fused-window"],
+        ],
+    )
+    def test_removed_lane_engine_flags_rejected(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
     def test_serve_rejects_engine_flags(self, tmp_path):
         # Fleet jobs run with each request's own config in spawn
         # workers, so serve accepts only the telemetry flags.
         with pytest.raises(SystemExit) as exc:
-            main(["serve", "--fleet-dir", str(tmp_path), "--no-fused-window"])
+            main(["serve", "--fleet-dir", str(tmp_path), "--no-delta-candidates"])
         assert exc.value.code == 2

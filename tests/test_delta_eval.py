@@ -31,6 +31,7 @@ from repro.core.delta_eval import (
     delta_options,
 )
 from repro.core.mapper_batch import MapperLane, map_threads_batch
+from tests.reference_mapper import reference_map_threads
 from repro.mapping import ChipState
 from repro.obs import MetricsRegistry, use_registry
 from repro.power import PowerModel
@@ -372,7 +373,8 @@ class TestBatchedLanes:
         with delta_options(enabled=True, min_dense_rows=0):
             got_unmapped = map_threads_batch(lanes, 0.5)
             for lane, twin, got in zip(lanes, twins, got_unmapped):
-                want = twin.mapper.map_threads(
+                want = reference_map_threads(
+                    twin.mapper,
                     twin.state,
                     twin.fmax_now_ghz,
                     twin.health_now,

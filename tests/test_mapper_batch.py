@@ -1,14 +1,12 @@
-"""Cross-lane batched Algorithm 1: bit-identity with the sequential path.
+"""Lockstep Algorithm 1: bit-identity with the sequential reference.
 
-Every test pins the tentpole contract of
-:mod:`repro.core.mapper_batch`: the lockstep engine is purely an
-execution strategy.  Whatever mix of thread counts, infeasibility,
-thermal overshoot, communication weighting, pre-placed threads, or
-demoted lanes a batch carries, each lane's placements, frequencies, and
-unmapped list must equal its solo ``map_threads`` call bit for bit.
+Every test pins the core contract of :mod:`repro.core.mapper_batch`:
+the lockstep loop is purely an execution strategy.  Whatever mix of
+thread counts, infeasibility, thermal overshoot, communication
+weighting, pre-placed threads, or lanes mapped alone a batch carries,
+each lane's placements, frequencies, and unmapped list must equal the
+sequential reference loop (:mod:`tests.reference_mapper`) bit for bit.
 """
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -25,6 +23,7 @@ from repro.sim.export import result_to_dict
 from repro.thermal import ThermalPredictor, ThermalRCNetwork
 from repro.variation import generate_population
 from repro.workload import make_mix
+from tests.reference_mapper import reference_map_threads
 
 APPS = [["bodytrack", "x264"], ["dedup", "ferret"], ["bodytrack", "ferret"]]
 COUNTS = [12, 16, 20]
@@ -57,11 +56,13 @@ def assert_states_identical(got: ChipState, want: ChipState) -> None:
 
 
 def run_both_ways(lanes, twins, epoch_years=0.5):
-    """Map ``lanes`` through the batch engine and ``twins`` solo, then
-    require lane-for-lane bit identity (states and unmapped lists)."""
+    """Map ``lanes`` through the lockstep loop and ``twins`` through the
+    sequential reference, then require lane-for-lane bit identity
+    (states and unmapped lists)."""
     unmapped = map_threads_batch(lanes, epoch_years)
     for lane, twin, got_unmapped in zip(lanes, twins, unmapped):
-        want_unmapped = twin.mapper.map_threads(
+        want_unmapped = reference_map_threads(
+            twin.mapper,
             twin.state,
             twin.fmax_now_ghz,
             twin.health_now,
@@ -109,7 +110,8 @@ class TestLockstepBitIdentity:
 
     def test_matches_sequential_across_seeds(self, rig, population, floorplan):
         """Mixed thread counts, health maps, and warm starts over
-        several seeds: every lane rides the stack and matches solo."""
+        several seeds: every lane rides the stack and matches the
+        reference."""
         for seed in range(3):
             lanes, twins = self._paired_lanes(rig, population, floorplan, seed)
             registry = MetricsRegistry()
@@ -120,7 +122,7 @@ class TestLockstepBitIdentity:
 
     def test_infeasible_threads_same_unmapped(self, rig, population, floorplan):
         """A lane whose chip can satisfy nothing reports the exact same
-        unmapped list as its solo call, without disturbing siblings."""
+        unmapped list as the reference, without disturbing siblings."""
         lanes, twins = self._paired_lanes(rig, population, floorplan, seed=5)
         slow = np.full(population[0].num_cores, 0.5)
         lanes[0].fmax_now_ghz = slow
@@ -131,7 +133,8 @@ class TestLockstepBitIdentity:
 
     def test_all_overshoot_fallback(self, rig, population, floorplan):
         """An impossible thermal constraint forces every placement down
-        the least-bad fallback; batch and solo still agree bit for bit."""
+        the least-bad fallback; batch and reference still agree bit for
+        bit."""
         lanes, twins = self._paired_lanes(
             rig, population, floorplan, seed=2, tsafe_k=1.0
         )
@@ -139,7 +142,7 @@ class TestLockstepBitIdentity:
 
     def test_comm_weight_identical(self, rig, population, floorplan):
         """The incremental sibling map scores the same penalties as the
-        solo path's rebuilt one."""
+        reference's."""
         mesh = MeshTopology(floorplan)
         lanes, twins = self._paired_lanes(
             rig,
@@ -165,7 +168,7 @@ class TestLockstepBitIdentity:
 
     def test_strict_lane_demoted(self, rig, population, floorplan):
         """A strict lane never joins the stack (a mid-round raise would
-        strand siblings) but maps identically on the sequential path."""
+        strand siblings) but maps alone, identically to the reference."""
         lanes, twins = self._paired_lanes(rig, population, floorplan, seed=6)
         strict = HayatMapper(lanes[1].mapper.estimator, strict=True)
         lanes[1].mapper = strict
@@ -187,7 +190,7 @@ class TestLockstepBitIdentity:
         self, rig, population, floorplan, small_floorplan, aging_table
     ):
         """A lane on different silicon geometry cannot share the stack;
-        it runs sequentially and still matches its solo call."""
+        it maps alone and still matches the reference."""
         lanes, twins = self._paired_lanes(rig, population, floorplan, seed=8)
         small_chip = generate_population(
             1, seed=3, floorplan=small_floorplan
@@ -253,42 +256,27 @@ def small_cfg(**overrides) -> SimulationConfig:
     return SimulationConfig(**base)
 
 
-class TestEscapeHatches:
-    """Campaign-level identity of the batched decision path and its
-    ``--no-batch-decision`` escape hatch."""
+class TestDecisionGrouping:
+    """Campaign-level identity of grouped and one-lane decisions."""
 
-    @pytest.fixture(scope="class")
-    def reference(self, population, aging_table):
-        return run_campaign(
-            [HayatManager()],
-            config=small_cfg(), population=population, table=aging_table,
-        )
-
-    def test_batch_decision_off_identical(
-        self, reference, population, aging_table
+    def test_grouped_and_one_lane_decisions_identical(
+        self, population, aging_table
     ):
         cfg = small_cfg()
-        on_registry = MetricsRegistry()
-        with use_registry(on_registry):
-            batched = run_campaign(
+        grouped_registry = MetricsRegistry()
+        with use_registry(grouped_registry):
+            grouped = run_campaign(
                 [HayatManager()],
                 config=cfg, population=population, table=aging_table,
                 batch_size=len(population),
             )
-        off_registry = MetricsRegistry()
-        with use_registry(off_registry):
-            unbatched = run_campaign(
+        alone_registry = MetricsRegistry()
+        with use_registry(alone_registry):
+            alone = run_campaign(
                 [HayatManager()],
-                config=dataclasses.replace(cfg, batch_decision=False),
-                population=population, table=aging_table,
-                batch_size=len(population),
+                config=cfg, population=population, table=aging_table,
             )
-        for a, b, c in zip(
-            reference.results["hayat"],
-            batched.results["hayat"],
-            unbatched.results["hayat"],
-        ):
+        for a, b in zip(grouped.results["hayat"], alone.results["hayat"]):
             assert result_to_dict(a) == result_to_dict(b)
-            assert result_to_dict(a) == result_to_dict(c)
-        assert on_registry.counter("sim.decision_batched_lanes") > 0
-        assert off_registry.counter("sim.decision_batched_lanes") == 0
+        assert grouped_registry.counter("sim.decision_batched_lanes") > 0
+        assert alone_registry.counter("sim.decision_batched_lanes") == 0

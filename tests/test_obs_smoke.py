@@ -52,7 +52,8 @@ class TestTraceSmoke:
         # 2 chips x 2 policies x 2 epochs
         assert len(epoch_spans) == 8
         assert {e["policy"] for e in epoch_spans} == {"vaa", "hayat"}
-        assert all("chip" in e and "epoch" in e for e in epoch_spans)
+        # One-chip units: every epoch span covers one lane.
+        assert all(e["chips"] == 1 and "epoch" in e for e in epoch_spans)
 
     def test_span_counts_sum_to_counters(self, traced_campaign):
         _, snapshot = traced_campaign
@@ -67,6 +68,40 @@ class TestTraceSmoke:
         assert epoch_spans == snapshot.counter("sim.epochs")
         assert run_spans == snapshot.counter("campaign.runs") == 4
         assert snapshot.timers["sim.epoch"].count == epoch_spans
+
+    def test_layer_names_do_not_depend_on_grouping(self, aging_table):
+        """A grouped campaign names the same layers as the one-chip-unit
+        run: ``campaign.run`` per unit and ``sim.epoch`` per group epoch,
+        each labelled with its chip count, and no engine-specific
+        timers."""
+        cfg = SimulationConfig(
+            lifetime_years=1.0, epoch_years=0.5, dark_fraction_min=0.5,
+            window_s=5.0, seed=11,
+        )
+        registry = MetricsRegistry(trace=True)
+        with use_registry(registry):
+            run_campaign(
+                [HayatManager()],
+                config=cfg,
+                population=generate_population(2, seed=5),
+                table=aging_table,
+                batch_size=2,
+            )
+        snapshot = registry.snapshot()
+        spans = [e for e in snapshot.events if e["kind"] == "span"]
+        runs = [e for e in spans if e["name"] == "campaign.run"]
+        epochs = [e for e in spans if e["name"] == "sim.epoch"]
+        assert [e["chips"] for e in runs] == [2]
+        assert [e["chips"] for e in epochs] == [2, 2]
+        assert snapshot.counter("campaign.runs") == 2
+        assert snapshot.counter("sim.epochs") == 4
+        assert snapshot.timers["sim.decision"].count == 2
+        names = set(snapshot.timers) | set(snapshot.counters)
+        for removed in (
+            "sim.batch_epoch", "campaign.batch", "sim.batch_decision",
+            "sim.batch_fallbacks",
+        ):
+            assert removed not in names
 
     def test_dtm_counters_match_results(self, traced_campaign):
         campaign, snapshot = traced_campaign

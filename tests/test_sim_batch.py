@@ -1,10 +1,11 @@
-"""Batched population engine: bit-identity with the per-chip path.
+"""Lockstep lanes: N lanes in one run equal N one-lane runs.
 
-Every test here pins the tentpole contract of
-:class:`repro.sim.batch.BatchLifetimeSimulator`: batching is purely an
-execution strategy — every ``LifetimeResult`` field, across batch sizes,
-mixed floorplans, fallbacks, and checkpoint resumes, must equal the
-per-chip path bit for bit.
+Every test here pins the core contract of
+:meth:`repro.sim.simulator.LifetimeSimulator.run_batch`: grouping chips
+into lockstep lanes is purely an execution strategy — every
+``LifetimeResult`` field, across batch sizes, mixed floorplans,
+per-lane fallbacks, and checkpoint resumes, must equal the chip's
+one-lane run bit for bit.
 """
 
 import dataclasses
@@ -14,10 +15,11 @@ import pytest
 
 from repro.baselines import VAAManager
 from repro.core import HayatManager
+from repro.dtm import DTMPolicy
 from repro.floorplan import Floorplan
 from repro.obs import MetricsRegistry, use_registry
+from repro.power import PowerModel
 from repro.sim import (
-    BatchLifetimeSimulator,
     CampaignCheckpoint,
     CampaignJobError,
     ChipContext,
@@ -38,6 +40,36 @@ def small_config(**overrides) -> SimulationConfig:
     )
     base.update(overrides)
     return SimulationConfig(**base)
+
+
+class StepwiseDTM(DTMPolicy):
+    """Stock enforcement without the compiled-window contract: every
+    lane runs the step-by-step window body."""
+
+    supports_fused_windows = False
+
+
+class ScaledPowerModel(PowerModel):
+    """A non-stock power model whose override the stacked kernels would
+    bypass: its lane must run alone, through its own ``evaluate``."""
+
+    def evaluate(self, freq_ghz, activity, temp_k, powered_on):
+        breakdown = super().evaluate(freq_ghz, activity, temp_k, powered_on)
+        return type(breakdown)(
+            dynamic_w=1.1 * breakdown.dynamic_w,
+            leakage_w=breakdown.leakage_w,
+        )
+
+
+def one_lane_runs(cfg, chips, table, policy, **sim_kwargs):
+    """Each chip's one-lane run, on a fresh context."""
+    return [
+        LifetimeSimulator(cfg, **sim_kwargs).run(
+            ChipContext(chip, table, dark_fraction_min=cfg.dark_fraction_min),
+            policy,
+        )
+        for chip in chips
+    ]
 
 
 def assert_results_identical(batched, reference) -> None:
@@ -70,7 +102,7 @@ def pieces(aging_table):
 
 @pytest.fixture(scope="module")
 def per_chip_reference(pieces):
-    """Per-chip results for both policies, computed once."""
+    """One-chip-per-unit results for both policies, computed once."""
     cfg, population, table = pieces
     return run_campaign(
         [VAAManager(), HayatManager()],
@@ -86,61 +118,97 @@ class TestEngineDirect:
             ChipContext(chip, table, dark_fraction_min=cfg.dark_fraction_min)
             for chip in population
         ]
-        batched = BatchLifetimeSimulator(cfg).run(ctxs, policy)
-        solo = [
-            LifetimeSimulator(cfg).run(
-                ChipContext(
-                    chip, table, dark_fraction_min=cfg.dark_fraction_min
-                ),
-                policy,
-            )
-            for chip in population
-        ]
-        assert_results_identical(batched, solo)
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            batched = LifetimeSimulator(cfg).run_batch(ctxs, policy)
+        assert registry.counter("sim.batched_chips") == len(population)
+        assert_results_identical(
+            batched, one_lane_runs(cfg, population, table, policy)
+        )
 
     def test_empty_input(self, pieces):
         cfg, _, _ = pieces
-        assert BatchLifetimeSimulator(cfg).run([], HayatManager()) == []
+        assert LifetimeSimulator(cfg).run_batch([], HayatManager()) == []
 
-    def test_single_chip_delegates(self, pieces):
-        """A one-chip batch has nothing to stack: per-chip fallback,
-        identical result."""
+    def test_single_chip_is_one_lane(self, pieces):
+        """A one-chip batch is a one-lane group: ``run`` is exactly
+        ``run_batch([ctx])[0]`` and no lane counts as batched."""
         cfg, population, table = pieces
         ctx = ChipContext(
             population[0], table, dark_fraction_min=cfg.dark_fraction_min
         )
         registry = MetricsRegistry()
         with use_registry(registry):
-            batched = BatchLifetimeSimulator(cfg).run([ctx], HayatManager())
-        solo = LifetimeSimulator(cfg).run(
-            ChipContext(
-                population[0], table, dark_fraction_min=cfg.dark_fraction_min
-            ),
-            HayatManager(),
+            batched = LifetimeSimulator(cfg).run_batch([ctx], HayatManager())
+        assert_results_identical(
+            batched,
+            one_lane_runs(cfg, population.chips[:1], table, HayatManager()),
         )
-        assert_results_identical(batched, [solo])
-        assert registry.counter("sim.batch_fallbacks") == 1
         assert registry.counter("sim.batched_chips") == 0
+        assert registry.counter("sim.fused_steps") > 0
 
-    def test_unfused_config_falls_back(self, pieces):
+    def test_stepwise_dtm_runs_step_by_step(self, pieces):
+        """A DTM without the compiled-window contract steps every lane's
+        window one step at a time: lockstep lanes still equal their
+        one-lane runs, and both equal the compiled-window results."""
         cfg, population, table = pieces
-        unfused = small_config(fused_window=False)
-        ctxs = [
-            ChipContext(chip, table, dark_fraction_min=0.5)
-            for chip in population.chips[:3]
-        ]
+        chips = population.chips[:3]
+        ctxs = [ChipContext(chip, table, dark_fraction_min=0.5) for chip in chips]
         registry = MetricsRegistry()
         with use_registry(registry):
-            batched = BatchLifetimeSimulator(unfused).run(ctxs, HayatManager())
-        solo = [
-            LifetimeSimulator(unfused).run(
-                ChipContext(chip, table, dark_fraction_min=0.5),
-                HayatManager(),
+            batched = LifetimeSimulator(cfg, dtm=StepwiseDTM()).run_batch(
+                ctxs, HayatManager()
             )
-            for chip in population.chips[:3]
-        ]
-        assert_results_identical(batched, solo)
-        assert registry.counter("sim.batch_fallbacks") == 1
+        assert registry.counter("sim.fused_steps") == 0
+        assert registry.counter("sim.timeline_compiles") == 0
+        assert_results_identical(
+            batched,
+            one_lane_runs(cfg, chips, table, HayatManager(), dtm=StepwiseDTM()),
+        )
+        assert_results_identical(
+            batched, one_lane_runs(cfg, chips, table, HayatManager())
+        )
+
+    def test_non_stock_power_model_runs_alone(self, pieces):
+        """A lane with a power-model subclass forms its own group, and
+        its override governs both settle and window; its batchmates are
+        unaffected."""
+        cfg, population, table = pieces
+        chips = population.chips[:3]
+        ctxs = [ChipContext(chip, table, dark_fraction_min=0.5) for chip in chips]
+        custom = ScaledPowerModel.for_chip(chips[1])
+        ctxs[1].power_model = custom
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            batched = LifetimeSimulator(cfg).run_batch(ctxs, HayatManager())
+        assert registry.counter("sim.batched_chips") == 2
+
+        solo_ctx = ChipContext(chips[1], table, dark_fraction_min=0.5)
+        solo_ctx.power_model = ScaledPowerModel.for_chip(chips[1])
+        solo = LifetimeSimulator(cfg).run(solo_ctx, HayatManager())
+        assert_results_identical([batched[1]], [solo])
+        stock = one_lane_runs(cfg, chips, table, HayatManager())
+        assert_results_identical(
+            [batched[0], batched[2]], [stock[0], stock[2]]
+        )
+        assert batched[1].mean_temp_rise_k(300.0) != stock[1].mean_temp_rise_k(
+            300.0
+        )
+
+    def test_mixed_floorplans_group_by_geometry(self, pieces):
+        """Contexts on two floorplans passed in one call run as two
+        lockstep groups and equal their one-lane runs."""
+        cfg, population, table = pieces
+        small = generate_population(2, seed=13, floorplan=Floorplan(4, 4))
+        chips = [population[0], small[0], population[1], small[1]]
+        ctxs = [ChipContext(chip, table, dark_fraction_min=0.5) for chip in chips]
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            batched = LifetimeSimulator(cfg).run_batch(ctxs, HayatManager())
+        assert registry.counter("sim.batched_chips") == 4
+        assert_results_identical(
+            batched, one_lane_runs(cfg, chips, table, HayatManager())
+        )
 
 
 class TestCampaignBatchSizes:
@@ -176,7 +244,7 @@ class TestCampaignBatchSizes:
     def test_counters_observed(self, pieces):
         """Batching is visible (sim.batched_chips, sim.batch_solves)
         while the physics counters stay additive-identical to the
-        per-chip run."""
+        one-chip-per-unit run."""
         cfg, population, table = pieces
         physics = (
             "sim.epochs", "sim.fused_steps", "sim.settle_rounds",
@@ -217,7 +285,7 @@ class TestMixedFloorplans:
     def test_partial_batches_per_floorplan_group(self, aging_table):
         """A population spanning two floorplans batches each signature
         group separately (partial batches included) and still matches
-        the per-chip path exactly."""
+        one-chip units exactly."""
         cfg = small_config()
         big = generate_population(3, seed=11)
         small = generate_population(2, seed=13, floorplan=Floorplan(4, 4))
@@ -246,8 +314,8 @@ class TestBatchedResume:
     def test_kill_mid_batched_campaign_then_resume(self, pieces, tmp_path):
         """A batched campaign dies on one chip: the batch demotes to
         singletons, the innocents checkpoint, and a batched resume with
-        a *different* batch size reproduces the uninterrupted per-chip
-        campaign bit for bit."""
+        a *different* batch size reproduces the uninterrupted
+        one-chip-per-unit campaign bit for bit."""
         cfg, population, table = pieces
         population = ChipPopulation(
             floorplan=population.floorplan,

@@ -211,11 +211,26 @@ class TestFleetRequest:
             ("walk_dedup", False),
             ("segment_cache", False),
             ("approx_table_walk", 0.5),
+            ("fused_window", False),
+            ("batch_decision", False),
         ],
     )
     def test_unknown_config_field_rejected(self, key, value):
         with pytest.raises(ValueError, match="unknown config field"):
             FleetRequest.from_dict(fleet_request(config={key: value}))
+
+    @pytest.mark.parametrize("bad", [0, -2, 2.5, True, False, "4", "huge"])
+    def test_malformed_batch_size_rejected(self, tmp_path, bad):
+        """A bad batch knob is refused at submission, before it can reach
+        the daemon's run loop."""
+        with pytest.raises(ValueError, match="batch_size"):
+            submit_request(str(tmp_path), fleet_request(batch_size=bad))
+        assert not os.path.exists(os.path.join(str(tmp_path), "spool"))
+
+    @pytest.mark.parametrize("good", ["auto", None, 1, 3])
+    def test_valid_batch_size_accepted(self, good):
+        request = FleetRequest.from_dict(fleet_request(batch_size=good))
+        assert request.batch_size == good
 
     def test_baseline_must_be_requested(self):
         with pytest.raises(ValueError, match="baseline"):
@@ -288,6 +303,27 @@ class TestDaemon:
             open(os.path.join(root, "results", "bad.json"))
         )
         assert "unknown policy" in response["error"]
+        assert not os.listdir(spool)
+
+    def test_spooled_bad_batch_size_is_retired(self, tmp_path):
+        """A hand-written spool file with a malformed batch knob gets an
+        error response and leaves the spool; the daemon keeps serving
+        the next request instead of dying on it at every restart."""
+        root = str(tmp_path / "fleet")
+        with FleetDaemon(root) as daemon:
+            spool = os.path.join(root, "spool")
+            with open(os.path.join(spool, "0-bad.json"), "w") as handle:
+                json.dump(fleet_request(chips=1, batch_size=0), handle)
+            good_id = submit_request(root, fleet_request(chips=1))
+            assert daemon.serve(drain=True) == 2
+            assert daemon.requests_failed == 1
+            assert daemon.requests_done == 1
+        response = json.load(open(os.path.join(root, "results", "0-bad.json")))
+        assert "batch_size" in response["error"]
+        good = json.load(
+            open(os.path.join(root, "results", f"{good_id}.json"))
+        )
+        assert good["simulated"] == good["jobs"] == 2
         assert not os.listdir(spool)
 
     def test_different_requirement_misses_the_cache(self, tmp_path):

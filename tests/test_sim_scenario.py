@@ -62,6 +62,8 @@ class TestValidation:
             ("walk_dedup", False),
             ("segment_cache", False),
             ("approx_table_walk", 0.5),
+            ("fused_window", False),
+            ("batch_decision", False),
         ],
     )
     def test_unknown_config_key(self, key, value):

@@ -147,6 +147,11 @@ class TestSettleClampConsistency:
                     self.network.num_nodes, self.network.config.ambient_k
                 )
 
+            def step_batch(self, all_nodes, node_power_w):
+                return np.full(
+                    np.shape(all_nodes), self.network.config.ambient_k
+                )
+
         monkeypatch.setattr(
             simulator_module, "solve_coupled_steady_state", overheated_solve
         )

@@ -1,13 +1,16 @@
-"""Fused-window engine: bit identity with the step-by-step path.
+"""Compiled window segments: bit identity with the step-by-step body.
 
 The core contract of :mod:`repro.sim.window`: running a window through
-compiled segments must reproduce the unfused reference loop bit for bit
+compiled segments must reproduce the step-by-step body bit for bit
 — identical :class:`~repro.sim.results.EpochRecord` fields, health
 trajectories and DTM event counts — in every regime the simulator
 visits (quiet windows, mid-epoch arrivals, throttling and recovery,
 migration-heavy baselines).  Also covers the trace-level machinery the
 engine relies on (vectorized sampling, speculative-draw rollback) and
-the observability counters that make the fast path visible.
+the observability counters that make the fast path visible.  The
+step-by-step reference runs under a DTM without the compiled-window
+contract (``supports_fused_windows = False``), which sends every lane
+through the step-by-step body.
 """
 
 import dataclasses
@@ -33,15 +36,21 @@ BASE_CFG = dict(
 )
 
 
-def run_pair(chip, table, policy_factory, dtm_factory=None, arrivals=None, **kwargs):
-    """Run the same scenario fused and unfused; returns both results."""
+class StepwiseDTM(DTMPolicy):
+    """Stock enforcement without the compiled-window contract."""
+
+    supports_fused_windows = False
+
+
+def run_pair(chip, table, policy_factory, tsafe_k=None, arrivals=None, **kwargs):
+    """Run the same scenario fused and step by step; returns both results."""
+    cfg = SimulationConfig(**{**BASE_CFG, **kwargs})
     results = []
-    for fused in (True, False):
-        cfg = SimulationConfig(**{**BASE_CFG, **kwargs}, fused_window=fused)
+    for dtm_cls in (DTMPolicy, StepwiseDTM):
         ctx = ChipContext(chip, table, dark_fraction_min=cfg.dark_fraction_min)
         sim = LifetimeSimulator(
             cfg,
-            dtm=dtm_factory() if dtm_factory is not None else None,
+            dtm=dtm_cls(tsafe_k=tsafe_k if tsafe_k is not None else cfg.tsafe_k),
             arrivals_factory=arrivals,
         )
         results.append(sim.run(ctx, policy_factory()))
@@ -85,10 +94,7 @@ class TestFusedBitIdentity:
         segments must break at the trigger band and on recovery."""
         cfg_tsafe = SimulationConfig().tsafe_k - 15.0
         fused, unfused = run_pair(
-            chip,
-            aging_table,
-            VAAManager,
-            dtm_factory=lambda: DTMPolicy(tsafe_k=cfg_tsafe),
+            chip, aging_table, VAAManager, tsafe_k=cfg_tsafe
         )
         assert sum(e.dtm_events for e in fused.epochs) > 0
         assert_bit_identical(fused, unfused)
@@ -109,11 +115,12 @@ class TestFusedBitIdentity:
 
 class TestWindowCounters:
     def _counters(self, chip, table, fused):
-        cfg = SimulationConfig(**BASE_CFG, fused_window=fused)
+        cfg = SimulationConfig(**BASE_CFG)
         ctx = ChipContext(chip, table, dark_fraction_min=cfg.dark_fraction_min)
+        dtm = (DTMPolicy if fused else StepwiseDTM)(tsafe_k=cfg.tsafe_k)
         registry = MetricsRegistry()
         with use_registry(registry):
-            LifetimeSimulator(cfg).run(ctx, HayatManager())
+            LifetimeSimulator(cfg, dtm=dtm).run(ctx, HayatManager())
         return registry.snapshot().counters
 
     def test_fused_run_reports_progress(self, chip, aging_table):
